@@ -99,12 +99,13 @@ class Combination:
         return (self.mask >> (i - 1)) & 1
 
     def to_bits(self) -> list[int]:
-        m = self.mask
-        return [(m >> j) & 1 for j in range(self.n)]
+        """Bit values, position 1 first; O(N) via one byte conversion."""
+        raw = np.frombuffer(self.mask.to_bytes((self.n + 7) // 8, "little"), np.uint8)
+        return np.unpackbits(raw, bitorder="little")[: self.n].tolist()
 
     def to01(self) -> str:
-        m = self.mask
-        return "".join("1" if (m >> j) & 1 else "0" for j in range(self.n))
+        """Bits as a '0'/'1' string, position 1 first; O(N) via ``bin``."""
+        return bin(self.mask)[2:].zfill(self.n)[::-1]
 
     def __eq__(self, other) -> bool:
         return (
@@ -374,7 +375,6 @@ class EnumerationState:
         "pending",
         "seen",
         "emitted_count",
-        "last_emitted",
         "_delta0",
         "_steps",
     )
@@ -384,7 +384,6 @@ class EnumerationState:
         self.pending = PendingSet()
         self.seen: set[int] = {0}
         self.emitted_count = 0
-        self.last_emitted: Optional[Combination] = None
         delta = instance.delta
         self._delta0 = float(delta[0])
         # _steps[k-1] = delta[k] - delta[k-1]: sum increment for landing bit k.
@@ -424,9 +423,7 @@ class EnumerationState:
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1
-        combo = Combination(n, mask)
-        self.last_emitted = combo
-        return ScoredCombination(combo, total)
+        return ScoredCombination(Combination(n, mask), total)
 
     def pending_size(self) -> int:
         return len(self.pending)

@@ -12,6 +12,13 @@ requires an even count of one-bits over the whole string, CRC8 requires
 the last 8 bits (most-significant first) to equal the CRC of the leading
 message bits. CRC8 parameters are fixed: polynomial 0x07, init 0x00, no
 reflection, xor-out 0x00 (check value of "123456789" is 0xF4).
+
+Cost model. A Checksum kind is checked in the hat domain: both checks are
+linear over GF(2), so a candidate's syndrome is a per-frame base syndrome
+XOR one table entry per set bit of its hat mask. That costs O(N) once per
+frame and O(popcount) per candidate, and only the accepted candidate is
+mapped back to selection bits. A callable validator sees every candidate's
+bit list, which costs O(N) per candidate. Results are identical either way.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .core import Direction, denormalize, init, normalize
+from .core import Combination, Direction, ProblemInstance, denormalize, init, normalize
 
 CRC8_POLY = 0x07
 CRC8_INIT = 0x00
@@ -77,6 +84,82 @@ def make_validator(kind: Checksum, n: int) -> Callable[[Sequence[int]], bool]:
     raise ValueError(f"unknown checksum kind: {kind!r}")
 
 
+def crc8_syndromes(n: int) -> list[int]:
+    """Syndrome ``crc8(message) ^ stored`` of each single-bit N-bit word.
+
+    Entry j belongs to the word whose only one sits at 0-based position j.
+    A message bit's syndrome is its CRC: the register after the bit is
+    set, shifted through the zero bits that follow it. A stored bit's
+    syndrome is its own weight in the stored byte.
+    """
+    if n <= 8:
+        raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
+    table = [0] * n
+    reg = 0x80
+    for j in range(n - 9, -1, -1):
+        if reg & 0x80:
+            reg = ((reg << 1) ^ CRC8_POLY) & 0xFF
+        else:
+            reg = (reg << 1) & 0xFF
+        table[j] = reg
+    for t in range(8):
+        table[n - 8 + t] = 0x80 >> t
+    return table
+
+
+def _xor_over_bits(table: list[int], mask: int) -> int:
+    """XOR of table[i] over the set bits i of mask, in O(popcount)."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out ^= table[low.bit_length() - 1]
+    return out
+
+
+def _hat_acceptor(
+    kind: Checksum, instance: ProblemInstance
+) -> Callable[[int], Optional[Combination]]:
+    """Per-frame test of hat masks: selection bits if accepted, else None.
+
+    The selection is ``denormalize(hat) ^ flip_mask`` and both checks are
+    linear, so the flip mask folds into a base syndrome and each hat bit
+    contributes its original position's syndrome.
+    """
+    n = instance.n
+    make_validator(kind, n)  # the one place that rejects unknown kinds and bad N
+
+    def accept(mask: int) -> Combination:
+        return denormalize(instance, Combination(n, mask))
+
+    if kind is Checksum.NONE:
+        return accept
+    if kind is Checksum.PARITY_EVEN:
+        base = instance.flip_mask.bit_count()
+        return lambda mask: None if (base + mask.bit_count()) & 1 else accept(mask)
+    syndromes = crc8_syndromes(n)
+    table = [syndromes[j] for j in instance.perm.tolist()]
+    base = _xor_over_bits(syndromes, instance.flip_mask)
+
+    def crc_accept(mask: int) -> Optional[Combination]:
+        return None if _xor_over_bits(table, mask) != base else accept(mask)
+
+    return crc_accept
+
+
+def _callable_acceptor(
+    validator: Callable[[Sequence[int]], bool], instance: ProblemInstance
+) -> Callable[[int], Optional[Combination]]:
+    """Map every candidate to selection bits and ask the validator."""
+    n = instance.n
+
+    def accept(mask: int) -> Optional[Combination]:
+        selection = denormalize(instance, Combination(n, mask))
+        return selection if validator(selection.to_bits()) else None
+
+    return accept
+
+
 @dataclass(frozen=True)
 class DecodeResult:
     """Outcome of a candidate walk.
@@ -110,9 +193,9 @@ def decode_best(
         raise ValueError("max_candidates must be >= 1")
     instance = normalize(confidences, Direction.MAX)
     if isinstance(checksum, Checksum):
-        validator = make_validator(checksum, instance.n)
+        accept = _hat_acceptor(checksum, instance)
     else:
-        validator = checksum
+        accept = _callable_acceptor(checksum, instance)
     state = init(instance)
     tested = 0
     while tested < max_candidates:
@@ -120,8 +203,8 @@ def decode_best(
         if emitted is None:
             break
         tested += 1
-        selection = denormalize(instance, emitted.combo)
-        if validator(selection.to_bits()):
+        selection = accept(emitted.combo.mask)
+        if selection is not None:
             return DecodeResult(
                 found=True,
                 bits=selection.to01(),

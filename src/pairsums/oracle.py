@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Combination, Direction, InvalidK, RankedChoice
-from .core import PairList  # noqa: F401  (referenced in docstrings/annotations)
 
 
 class TooLarge(ValueError):

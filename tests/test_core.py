@@ -55,6 +55,19 @@ class TestCombination:
         with pytest.raises(ValueError):
             Combination(0)
 
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 64, 65, 200])
+    def test_bits_and_string_match_per_bit_definition(self, n):
+        rng = np.random.default_rng(n)
+        masks = [0, (1 << n) - 1, 1 << (n - 1)]
+        masks += [int(rng.integers(0, 2, size=n) @ (1 << np.arange(n, dtype=object)))
+                  for _ in range(20)]
+        for mask in masks:
+            c = Combination(n, mask)
+            want = [(mask >> j) & 1 for j in range(n)]
+            assert c.to_bits() == want
+            assert all(type(b) is int for b in c.to_bits())
+            assert c.to01() == "".join(map(str, want))
+
 
 class TestLexOrder:
     def test_position_one_most_significant(self):

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pairsums import decode
 from pairsums.core import Direction
 from pairsums.decode import (
     Checksum,
     DecodeResult,
     bytes_to_bits,
     crc8,
+    crc8_syndromes,
     decode_best,
     make_validator,
 )
@@ -130,3 +132,80 @@ class TestDecodeBest:
         assert result.found
         assert result.bits == "".join(str(b) for b in word)
         assert result.rank == 2  # argmax fails the CRC, one flip fixes it
+
+
+unit_floats = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+coarse_floats = unit_floats.map(lambda x: round(x, 1))  # many exact ties
+
+
+@st.composite
+def decode_cases(draw, kind):
+    n = draw(st.integers(min_value=9 if kind is Checksum.CRC8 else 1, max_value=16))
+    shape = draw(st.sampled_from(["fine", "coarse", "equal"]))
+    if shape == "equal":
+        value = draw(coarse_floats)
+        conf = [(value, value)] * n
+    else:
+        values = unit_floats if shape == "fine" else coarse_floats
+        conf = draw(st.lists(st.tuples(values, values), min_size=n, max_size=n))
+    # small budgets run out before a hit; 2^N + 1 covers the whole order
+    budget = draw(st.integers(min_value=1, max_value=min(2**n + 1, 600)))
+    return conf, budget
+
+
+class TestHatDomainChecks:
+    @pytest.mark.parametrize("kind", list(Checksum))
+    @given(data=st.data())
+    def test_matches_callable_validator(self, kind, data):
+        conf, budget = data.draw(decode_cases(kind))
+        reference = decode_best(conf, make_validator(kind, len(conf)), budget)
+        assert decode_best(conf, kind, budget) == reference
+
+    def test_crc8_at_nine_bits_matches_callable(self):
+        # one message bit: 2 of the 512 candidates are CRC-valid, so the
+        # budgets below both run out early and reach the end of the order
+        rng = np.random.default_rng(9)
+        for _ in range(50):
+            conf = rng.random((9, 2)).round(1)
+            for budget in (1, 2, 100, 511, 512, 513):
+                want = decode_best(conf, make_validator(Checksum.CRC8, 9), budget)
+                assert decode_best(conf, Checksum.CRC8, budget) == want
+
+    @pytest.mark.parametrize("n", range(9, 41))
+    def test_syndrome_table_is_crc_of_single_bit_words(self, n):
+        table = crc8_syndromes(n)
+        for j in range(n):
+            word = [0] * n
+            word[j] = 1
+            stored = int("".join(map(str, word[-8:])), 2)
+            assert table[j] == crc8(word[:-8]) ^ stored
+
+    def test_crc8_denormalizes_only_the_accepted_candidate(self, monkeypatch):
+        calls = []
+        original = decode.denormalize
+
+        def counting(instance, combo):
+            calls.append(combo.mask)
+            return original(instance, combo)
+
+        monkeypatch.setattr(decode, "denormalize", counting)
+        rng = np.random.default_rng(3)
+        message = rng.integers(0, 2, size=40).tolist()
+        check = crc8(message)
+        word = message + [(check >> (7 - j)) & 1 for j in range(8)]
+        conf = [(0.9, 0.1) if b == 0 else (0.1, 0.9) for b in word]
+        conf[5] = (0.45, 0.55) if word[5] == 0 else (0.55, 0.45)
+        conf[17] = (0.48, 0.52) if word[17] == 0 else (0.52, 0.48)
+        hit = decode_best(conf, Checksum.CRC8)
+        assert hit.found and hit.rank > 1
+        assert hit.bits == "".join(map(str, word))
+        assert len(calls) == 1
+
+        calls.clear()
+        miss = decode_best(conf, Checksum.CRC8, max_candidates=hit.rank - 1)
+        assert not miss.found
+        assert calls == []
+
+    def test_crc8_needs_payload(self):
+        with pytest.raises(ValueError):
+            decode_best([(0.2, 0.8)] * 8, Checksum.CRC8)
