@@ -2,10 +2,13 @@
 
 Samples uniform random pair sets, runs the enumerator to a K budget while
 recording the frontier size |P| and the cumulative process time at a grid
-of K checkpoints, and fits a second-degree polynomial to the time curve.
-CPU process time is used rather than wall clock, and each timed run is
-preceded by a short untimed warm-up pass so allocator and cache startup
-noise stays out of the measurement.
+of K checkpoints, fits a second-degree polynomial to the time curve and a
+line to the frontier size. CPU process time is used rather than wall
+clock, and each timed run is preceded by a short untimed warm-up pass so
+allocator and cache startup noise stays out of the measurement.
+
+``pairsums bench`` is the command-line entry point: it writes the CSV and,
+with ``--fit``, prints both fits per n.
 
 Times are machine-dependent; the reproducible claims are fit quality
 (time vs K is near-quadratic, |P| vs K near-linear for K << 2^n) and the
@@ -25,6 +28,7 @@ import numpy as np
 from .core import init, normalize
 
 CSV_HEADER = ("n", "k", "pending_size", "elapsed_s", "trial", "seed")
+WARMUP_STEPS = 1000  # untimed enumeration steps before each trial
 
 
 class DegenerateFit(ValueError):
@@ -37,8 +41,7 @@ class BenchConfig:
 
     ``k_checkpoints`` overrides the default log-spaced grid of
     ``k_samples`` points; either way checkpoints are clipped to
-    min(k_max, 2^n) per n. ``warmup`` enumeration steps run untimed
-    before each trial.
+    min(k_max, 2^n) per n.
     """
 
     n_values: Sequence[int] = (15, 100, 1000)
@@ -47,7 +50,6 @@ class BenchConfig:
     seed: int = 42
     trials: int = 1
     k_checkpoints: Optional[Sequence[int]] = None
-    warmup: int = 1000
 
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
@@ -97,7 +99,7 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
             pairs = rng.random((n, 2))
             instance = normalize(pairs)
             warm = init(instance)
-            for _ in range(min(config.warmup, cps[-1])):
+            for _ in range(min(WARMUP_STEPS, cps[-1])):
                 if warm.advance() is None:
                     break
             state = init(instance)
@@ -181,9 +183,3 @@ def write_csv(records: Sequence[BenchRecord], fileobj: io.TextIOBase) -> None:
     writer.writerow(CSV_HEADER)
     for r in records:
         writer.writerow([r.n, r.k, r.pending_size, repr(r.elapsed_s), r.trial, r.seed])
-
-
-def records_csv(records: Sequence[BenchRecord]) -> str:
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue()

@@ -12,12 +12,20 @@ confidence pair per bit.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bench import BenchConfig, fit_quadratic, run_bench, write_csv
+from .bench import (
+    BenchConfig,
+    DegenerateFit,
+    fit_pending_linear,
+    fit_quadratic,
+    run_bench,
+    write_csv,
+)
 from .core import Direction, InvalidK, NonFiniteInput, top_k
 from .decode import DEFAULT_MAX_CANDIDATES, Checksum, decode_best
 
@@ -62,6 +70,11 @@ def read_pairs(path: str) -> list[tuple[float, float]]:
         rows = obj.get("pairs")
         if not isinstance(rows, list):
             raise ParseError(f'{path}: JSON must carry a "pairs" list')
+        for idx, row in enumerate(rows, start=1):
+            # type(), not isinstance: JSON true/false must not pass as 1/0.
+            ok = type(row) is list and len(row) == 2
+            if not (ok and type(row[0]) in (int, float) and type(row[1]) in (int, float)):
+                raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
     else:
         rows = [line.split(",") for line in text.splitlines() if line.strip()]
         if rows:
@@ -82,19 +95,12 @@ def read_pairs(path: str) -> list[tuple[float, float]]:
     return pairs
 
 
-def _open_output(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
-
-
 def _emit(path: str, text: str) -> None:
-    out, close = _open_output(path)
-    try:
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w") as out:
         out.write(text)
-    finally:
-        if close:
-            out.close()
 
 
 def _format_topk(results, fmt: str) -> str:
@@ -167,17 +173,23 @@ def cmd_bench(args) -> int:
         trials=args.trials,
     )
     records = run_bench(config)
-    out, close = _open_output(args.output)
-    try:
-        write_csv(records, out)
-    finally:
-        if close:
-            out.close()
+    buf = io.StringIO()
+    write_csv(records, buf)
+    _emit(args.output, buf.getvalue())
     if args.fit:
+        by_n = [(n, [r for r in records if r.n == n]) for n in config.n_values]
         print("n,c2,c1,c0,r_squared")
-        for n in config.n_values:
-            fit = fit_quadratic([r for r in records if r.n == n])
+        for n, rows in by_n:
+            fit = fit_quadratic(rows)
             print(f"{n},{fit.c2:.6e},{fit.c1:.6e},{fit.c0:.6e},{fit.r_squared:.6f}")
+        print("n,m1,m0,r_squared")  # frontier size over K >= max K / 10
+        for n, rows in by_n:
+            try:
+                fit = fit_pending_linear(rows, k_min=max(r.k for r in rows) // 10)
+            except DegenerateFit as exc:
+                print(f"n={n}: pending fit skipped: {exc}", file=sys.stderr)
+            else:
+                print(f"{n},{fit.m1:.6e},{fit.m0:.6e},{fit.r_squared:.6f}")
     return EXIT_OK
 
 
@@ -217,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--samples", type=_positive_int, default=50)
     p_bench.add_argument("--trials", type=_positive_int, default=1)
     p_bench.add_argument("--seed", type=int, default=42)
-    p_bench.add_argument("--fit", action="store_true", help="print quadratic fits")
+    p_bench.add_argument("--fit", action="store_true", help="print time and frontier-size fits")
     p_bench.add_argument("--output", default="-", help="CSV path, - for stdout")
     p_bench.set_defaults(func=cmd_bench)
     return parser

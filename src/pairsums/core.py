@@ -67,11 +67,10 @@ class IndexOutOfRange(IndexError):
 class Combination:
     """Immutable N-bit choice vector.
 
-    Equality and hashing are over bit content (and length) only. ``ones``
-    caches the popcount.
+    Equality and hashing are over bit content (and length) only.
     """
 
-    __slots__ = ("n", "mask", "ones")
+    __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int = 0):
         if n < 1:
@@ -80,7 +79,6 @@ class Combination:
             raise ValueError("mask does not fit in %d bits" % n)
         self.n = n
         self.mask = mask
-        self.ones = mask.bit_count()
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "Combination":
@@ -301,21 +299,19 @@ class PendingSet:
 
     Entries live in an ascending sorted sequence with a cursor at the head,
     so extract-min is O(1) and a batch insert costs one linear merge over
-    the live suffix. A mask index rejects duplicate insertions.
+    the live suffix. Callers offer each mask at most once (in an
+    enumeration, ``EnumerationState.seen`` guarantees it), so no duplicate
+    check runs here.
     """
 
-    __slots__ = ("_entries", "_head", "_members")
+    __slots__ = ("_entries", "_head")
 
     def __init__(self):
         self._entries: list[tuple[float, _LexKey, int]] = []
         self._head = 0
-        self._members: set[int] = set()
 
     def __len__(self) -> int:
         return len(self._entries) - self._head
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self._members
 
     def extract_min(self) -> Optional[tuple[float, _LexKey, int]]:
         """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
@@ -325,7 +321,6 @@ class PendingSet:
             return None
         entry = entries[head]
         self._head = head + 1
-        self._members.discard(entry[2])
         # Compact dead prefix when batches keep coming back empty.
         if self._head > 1024 and self._head * 2 > len(entries):
             del entries[: self._head]
@@ -333,17 +328,14 @@ class PendingSet:
         return entry
 
     def insert_batch(self, batch: list[tuple[float, _LexKey, int]]) -> None:
-        """Merge new entries in, skipping masks already pending.
+        """Merge new entries in; sorts ``batch`` in place.
 
         Rebuilds the live suffix in one pass, mirroring the sort-then-
         integrate step of the iteration: cost O(len(pending) + b log b).
         """
-        members = self._members
-        batch = [e for e in batch if e[2] not in members]
         if not batch:
             return
         batch.sort()
-        members.update(e[2] for e in batch)
         old = self._entries
         lo = self._head
         if lo >= len(old):
@@ -375,7 +367,6 @@ class EnumerationState:
         "pending",
         "seen",
         "emitted_count",
-        "_delta0",
         "_steps",
     )
 
@@ -384,10 +375,9 @@ class EnumerationState:
         self.pending = PendingSet()
         self.seen: set[int] = {0}
         self.emitted_count = 0
-        delta = instance.delta
-        self._delta0 = float(delta[0])
-        # _steps[k-1] = delta[k] - delta[k-1]: sum increment for landing bit k.
-        self._steps = np.diff(delta).tolist()
+        # _steps[k]: sum increment for landing bit k (see _child_moves);
+        # _steps[0] = delta[0] - 0.0 is exact.
+        self._steps = np.diff(instance.delta, prepend=0.0).tolist()
         self.pending.insert_batch([(instance.s1, _LexKey(0), 0)])
 
     def advance(self) -> Optional[ScoredCombination]:
@@ -402,24 +392,12 @@ class EnumerationState:
         total, _, mask = entry
         n = self.instance.n
         seen = self.seen
-        batch = []
-        if not mask & 1:
-            child = mask | 1
-            if child not in seen:
-                seen.add(child)
-                batch.append((total + self._delta0, _LexKey(child), child))
         steps = self._steps
-        pattern = (mask << 1) & ~mask
-        while pattern:
-            low = pattern & -pattern
-            pattern ^= low
-            k = low.bit_length() - 1
-            if k >= n:
-                break
-            child = mask ^ (low | (low >> 1))
+        batch = []
+        for child, k in _child_moves(mask, n):
             if child not in seen:
                 seen.add(child)
-                batch.append((total + steps[k - 1], _LexKey(child), child))
+                batch.append((total + steps[k], _LexKey(child), child))
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1

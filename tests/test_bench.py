@@ -11,7 +11,6 @@ from pairsums.bench import (
     checkpoints_for,
     fit_pending_linear,
     fit_quadratic,
-    records_csv,
     run_bench,
     write_csv,
 )
@@ -164,9 +163,3 @@ class TestCsv:
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[1].startswith("100,1,10,")
         assert len(lines) == 3
-
-    def test_records_csv_matches_write_csv(self):
-        rows = synthetic((0, 0, 1e-3), [1, 2, 4])
-        out = io.StringIO()
-        write_csv(rows, out)
-        assert records_csv(rows) == out.getvalue()

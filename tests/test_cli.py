@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from pairsums.cli import ParseError, main, read_pairs
 
 PAIRS_CSV = "1,5\n2,3\n0,4\n"
+SRC = Path(__file__).resolve().parents[1] / "src"
+QUAD_HEADER = "n,c2,c1,c0,r_squared"
+LINE_HEADER = "n,m1,m0,r_squared"
 
 
 @pytest.fixture
@@ -56,6 +63,26 @@ class TestReadPairs:
         path.write_text('{"rows": []}')
         with pytest.raises(ParseError):
             read_pairs(str(path))
+
+    @pytest.mark.parametrize("command", ["topk", "decode"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            '{"pairs": [1, 2]}',
+            '{"pairs": [{"a": 1, "b": 2}]}',
+            '{"pairs": [[true, false]]}',
+            '{"pairs": [["1", 2]]}',
+            '{"pairs": [[1, 2], [3]]}',
+        ],
+    )
+    def test_malformed_json_rows_are_parse_errors(self, tmp_path, capsys, command, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        args = [command, "--input", str(path)] + (["--k", "1"] if command == "topk" else [])
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
 
 class TestTopkCommand:
@@ -160,9 +187,35 @@ class TestBenchCommand:
                      "--fit", "--output", str(dest)])
         assert code == 0
         out = capsys.readouterr().out.strip().splitlines()
-        assert out[0] == "n,c2,c1,c0,r_squared"
-        assert len(out) == 3
+        split = out.index(LINE_HEADER)
+        quad, line = out[:split], out[split:]
+        assert quad[0] == QUAD_HEADER
+        for block in (quad, line):
+            assert [row.split(",")[0] for row in block[1:]] == ["4", "6"]
         assert dest.read_text().startswith("n,k,pending_size,elapsed_s")
+
+    def test_degenerate_pending_fit_is_skipped(self, tmp_path, capsys):
+        # K checkpoints 1, 32, 1000: only 1000 clears k_min = 1000 // 10
+        code = main(["bench", "--n", "20", "--k-max", "1000", "--samples", "3",
+                     "--fit", "--output", str(tmp_path / "bench.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out.strip().splitlines()[-1] == LINE_HEADER
+        assert "n=20: pending fit skipped" in captured.err
+
+    def test_module_entry_point(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        dest = tmp_path / "bench.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairsums.cli", "bench", "--n", "15,100",
+             "--k-max", "2000", "--fit", "--output", str(dest)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert dest.read_text().splitlines()[0] == "n,k,pending_size,elapsed_s,trial,seed"
+        out = proc.stdout.splitlines()
+        assert QUAD_HEADER in out
+        assert LINE_HEADER in out
 
     def test_bad_sample_count_is_usage_error(self, capsys):
         assert main(["bench", "--n", "5", "--k-max", "4", "--samples", "9"]) == 2

@@ -39,7 +39,6 @@ class TestCombination:
         assert c.to_bits() == [1, 0, 1, 1]
         assert c.to01() == "1011"
         assert c.n == 4
-        assert c.ones == 3
 
     def test_bit_is_one_based(self):
         c = Combination.from_bits([1, 0, 1])
@@ -207,12 +206,6 @@ class TestPendingSet:
         assert p.extract_min()[2] == 4
         assert p.extract_min()[2] == 3
 
-    def test_duplicate_masks_dropped(self):
-        p = PendingSet()
-        p.insert_batch([(1.0, _LexKey(1), 1)])
-        p.insert_batch([(1.0, _LexKey(1), 1), (2.0, _LexKey(2), 2)])
-        assert len(p) == 2
-
     def test_interleaved_inserts_stay_sorted(self):
         p = PendingSet()
         p.insert_batch([(4.0, _LexKey(8), 8), (1.0, _LexKey(1), 1)])
@@ -258,6 +251,18 @@ class TestAdvance:
         assert [e.sum for e in emitted] == [0, 1, 1, 2, 2, 3, 3, 4]
         assert emitted[3].combo.to01() == "001"
         assert emitted[4].combo.to01() == "110"
+
+    def test_seen_is_emitted_plus_pending(self):
+        # tie-heavy: many children are reached from two parents, and seen
+        # must keep the second offer out of the frontier
+        inst = normalize([(0, 1), (0, 1), (0, 1), (0, 2), (0, 2), (1, 2)], Direction.MIN)
+        state = init(inst)
+        masks = []
+        while (out := state.advance()) is not None:
+            masks.append(out.combo.mask)
+            assert len(state.seen) == state.emitted_count + pending_size(state)
+        assert len(masks) == 2 ** 6
+        assert len(set(masks)) == len(masks)
 
     def test_iteration_protocol(self, instance):
         sums = [sc.sum for sc in init(instance)]

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from conftest import bit_lists, int_pair_lists, pair_lists
 from pairsums.core import (
     Combination,
     Direction,
+    _LexKey,
     init,
     normalize,
     pending_size,
@@ -156,3 +158,52 @@ def test_incremental_sums_match_scratch_scores(pairs):
     state = init(inst)
     while (out := state.advance()) is not None:
         assert out.sum == score(inst, out.combo)
+
+
+def best_first_reference(inst):
+    """Hat masks in the stated tie order, built independently of the engine.
+
+    Each step takes the (sum, lex)-smallest combination that is one shift
+    away from an emitted one (the all-zeros vector first). Sums come from
+    ``score``, the frontier is a heap.
+    """
+    n = inst.n
+    heap = [(inst.s1, _LexKey(0), 0)]
+    reached = {0}
+    order = []
+    while heap:
+        _, _, mask = heapq.heappop(heap)
+        order.append(mask)
+        for child in successors(Combination(n, mask)):
+            if child.mask not in reached:
+                reached.add(child.mask)
+                heapq.heappush(heap, (score(inst, child), _LexKey(child.mask), child.mask))
+    return order
+
+
+@given(int_pair_lists(max_n=10), st.sampled_from([Direction.MIN, Direction.MAX]))
+def test_tie_order_is_best_first_lex(pairs, direction):
+    # Integer inputs keep every sum exact, so only the tie rule decides.
+    inst = normalize(pairs, direction)
+    assert [out.combo.mask for out in init(inst)] == best_first_reference(inst)
+
+
+distinct_gap_int_pairs = st.lists(
+    st.tuples(st.integers(-100, 100), st.integers(-100, 100)),
+    min_size=1,
+    max_size=10,
+    unique_by=lambda p: abs(p[0] - p[1]),
+)
+
+
+@given(distinct_gap_int_pairs, st.sampled_from([Direction.MIN, Direction.MAX]))
+def test_distinct_gaps_emit_in_hat_mask_lex_order(pairs, direction):
+    # With distinct gaps only setting position 1 can be free, and that child
+    # is lex-larger than its parent, so the best-first order is the global
+    # sort of all 2^N hat masks by (sum, lex).
+    inst = normalize(pairs, direction)
+    n = inst.n
+    want = sorted(
+        range(2**n), key=lambda m: (score(inst, Combination(n, m)), _LexKey(m))
+    )
+    assert [out.combo.mask for out in init(inst)] == want
