@@ -26,7 +26,7 @@ from .bench import (
     run_bench,
     write_csv,
 )
-from .core import Direction, InvalidK, NonFiniteInput, top_k
+from .core import Direction, NonFiniteInput, top_k
 from .decode import DEFAULT_MAX_CANDIDATES, Checksum, decode_best
 
 EXIT_OK = 0
@@ -178,18 +178,22 @@ def cmd_bench(args) -> int:
     _emit(args.output, buf.getvalue())
     if args.fit:
         by_n = [(n, [r for r in records if r.n == n]) for n in config.n_values]
-        print("n,c2,c1,c0,r_squared")
-        for n, rows in by_n:
-            fit = fit_quadratic(rows)
-            print(f"{n},{fit.c2:.6e},{fit.c1:.6e},{fit.c0:.6e},{fit.r_squared:.6f}")
-        print("n,m1,m0,r_squared")  # frontier size over K >= max K / 10
-        for n, rows in by_n:
-            try:
-                fit = fit_pending_linear(rows, k_min=max(r.k for r in rows) // 10)
-            except DegenerateFit as exc:
-                print(f"n={n}: pending fit skipped: {exc}", file=sys.stderr)
-            else:
-                print(f"{n},{fit.m1:.6e},{fit.m0:.6e},{fit.r_squared:.6f}")
+        blocks = (
+            ("time", "n,c2,c1,c0,r_squared", fit_quadratic),
+            # frontier size over K >= max K / 10
+            ("pending", "n,m1,m0,r_squared",
+             lambda rows: fit_pending_linear(rows, k_min=max(r.k for r in rows) // 10)),
+        )
+        for label, header, fit_rows in blocks:
+            print(header)
+            for n, rows in by_n:
+                try:
+                    fit = fit_rows(rows)
+                except DegenerateFit as exc:
+                    print(f"n={n}: {label} fit skipped: {exc}", file=sys.stderr)
+                    continue
+                coeffs = ",".join(f"{c:.6e}" for c in fit[:-1])
+                print(f"{n},{coeffs},{fit.r_squared:.6f}")
     return EXIT_OK
 
 
@@ -246,10 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NonFiniteInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE
-    except (ParseError, InvalidK, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError, InvalidK, DegenerateFit too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

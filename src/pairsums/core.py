@@ -15,9 +15,10 @@ Successor moves: a single shift either sets bit 1 (position of the smallest
 gap) or moves a set bit from position i-1 to position i. Because delta is
 ascending, shifts never decrease the sum, so best-first search over the
 shift graph, seeded with the all-zeros vector, emits combinations in sum
-order. The frontier ("pending set") is kept as a sequence ordered by
-(sum, lexicographic bits); each step extracts the head and merges the
-freshly generated successors back in.
+order. The frontier ("pending set") is one ascending list ordered by
+(sum, lexicographic bits); each step pops its head and merges the sorted
+batch of fresh successors into the whole list in one pass, O(|P|) per
+step and so O(K^2) for K results.
 
 Bit packing convention, used everywhere in this package: position j
 (1-based) of a combination lives at integer bit j-1, so the all-zeros
@@ -157,22 +158,19 @@ def lex_less(a: Combination, b: Combination) -> bool:
 class ProblemInstance:
     """Normalized problem, immutable after construction.
 
-    Arrays are read-only numpy views. ``perm[i]`` is the 0-based original
-    pair index stored at sorted position i; ``inv_perm`` is its inverse.
-    ``flip_mask`` packs, per original pair j at bit j-1, whether the pair
-    arrived with its larger element first (after the direction transform).
+    ``delta`` holds the gaps in ascending order and ``perm[i]`` is the
+    0-based original pair index stored at sorted position i (both are
+    read-only numpy arrays). ``flip_mask`` packs, per original pair j at
+    bit j-1, whether the pair arrived with its larger element first (after
+    the direction transform). ``s1`` is the sum of the smaller elements.
     For direction MAX all values were negated up front, so sums computed
     here are negated sums of the original data.
     """
 
-    v0: np.ndarray
-    v1: np.ndarray
     delta: np.ndarray
     perm: np.ndarray
-    inv_perm: np.ndarray
     flip_mask: int
     s1: float
-    direction: Direction
 
     @property
     def n(self) -> int:
@@ -208,23 +206,14 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     v1 = np.where(flipped, arr[:, 0], arr[:, 1])
     gaps = v1 - v0
     perm = np.argsort(gaps, kind="stable")
-    inv_perm = np.empty_like(perm)
-    inv_perm[perm] = np.arange(len(perm))
     delta = gaps[perm]
     flip_mask = int.from_bytes(
         np.packbits(flipped, bitorder="little").tobytes(), "little"
     )
-    for a in (v0, v1, delta, perm, inv_perm):
-        a.setflags(write=False)
+    delta.setflags(write=False)
+    perm.setflags(write=False)
     return ProblemInstance(
-        v0=v0,
-        v1=v1,
-        delta=delta,
-        perm=perm,
-        inv_perm=inv_perm,
-        flip_mask=flip_mask,
-        s1=float(v0.sum()),
-        direction=direction,
+        delta=delta, perm=perm, flip_mask=flip_mask, s1=float(v0.sum())
     )
 
 
@@ -297,52 +286,31 @@ def successors(combo: Combination) -> list[Combination]:
 class PendingSet:
     """Frontier of scored candidates, ordered by (sum, lexicographic bits).
 
-    Entries live in an ascending sorted sequence with a cursor at the head,
-    so extract-min is O(1) and a batch insert costs one linear merge over
-    the live suffix. Callers offer each mask at most once (in an
-    enumeration, ``EnumerationState.seen`` guarantees it), so no duplicate
-    check runs here.
+    One ascending list: extract-min pops its head, and each batch of new
+    entries is sorted and merged into the whole list in one pass, so a step
+    costs O(len(pending) + b log b). Callers offer each mask at most once
+    (in an enumeration, ``EnumerationState.seen`` guarantees it), so no
+    duplicate check runs here.
     """
 
-    __slots__ = ("_entries", "_head")
+    __slots__ = ("_entries",)
 
     def __init__(self):
         self._entries: list[tuple[float, _LexKey, int]] = []
-        self._head = 0
 
     def __len__(self) -> int:
-        return len(self._entries) - self._head
+        return len(self._entries)
 
     def extract_min(self) -> Optional[tuple[float, _LexKey, int]]:
         """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
-        head = self._head
-        entries = self._entries
-        if head >= len(entries):
-            return None
-        entry = entries[head]
-        self._head = head + 1
-        # Compact dead prefix when batches keep coming back empty.
-        if self._head > 1024 and self._head * 2 > len(entries):
-            del entries[: self._head]
-            self._head = 0
-        return entry
+        return self._entries.pop(0) if self._entries else None
 
     def insert_batch(self, batch: list[tuple[float, _LexKey, int]]) -> None:
-        """Merge new entries in; sorts ``batch`` in place.
-
-        Rebuilds the live suffix in one pass, mirroring the sort-then-
-        integrate step of the iteration: cost O(len(pending) + b log b).
-        """
-        if not batch:
-            return
+        """Merge new entries in; sorts ``batch`` in place."""
         batch.sort()
         old = self._entries
-        lo = self._head
-        if lo >= len(old):
-            self._entries = batch
-            self._head = 0
-            return
         merged: list[tuple[float, _LexKey, int]] = []
+        lo = 0
         for entry in batch:
             pos = bisect_left(old, entry, lo)
             merged += old[lo:pos]
@@ -350,7 +318,6 @@ class PendingSet:
             lo = pos
         merged += old[lo:]
         self._entries = merged
-        self._head = 0
 
 
 class EnumerationState:

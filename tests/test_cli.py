@@ -136,6 +136,11 @@ class TestTopkCommand:
     def test_missing_file_is_usage_error(self):
         assert main(["topk", "--input", "/no/such.csv", "--k", "1"]) == 2
 
+    def test_unwritable_output_is_usage_error(self, pairs_file, tmp_path, capsys):
+        dest = tmp_path / "no_such_dir" / "out.csv"
+        assert main(["topk", "--input", pairs_file, "--k", "1", "--output", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_nan_input_exits_three(self, tmp_path):
         path = tmp_path / "nan.csv"
         path.write_text("1,nan\n")
@@ -202,6 +207,18 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         assert captured.out.strip().splitlines()[-1] == LINE_HEADER
         assert "n=20: pending fit skipped" in captured.err
+
+    def test_degenerate_time_fit_is_skipped(self, tmp_path, capsys):
+        # n=1 has only K = 1, 2: too few checkpoints for a quadratic
+        code = main(["bench", "--n", "1,20", "--k-max", "50", "--samples", "5",
+                     "--fit", "--output", str(tmp_path / "bench.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        out = captured.out.strip().splitlines()
+        quad = out[: out.index(LINE_HEADER)]
+        assert quad[0] == QUAD_HEADER
+        assert [row.split(",")[0] for row in quad[1:]] == ["20"]
+        assert "n=1: time fit skipped" in captured.err
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))
