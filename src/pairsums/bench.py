@@ -138,10 +138,10 @@ class LinearFit(NamedTuple):
 def _polyfit_r2(x, y, degree):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(np.unique(x)) < degree + 1:
-        raise DegenerateFit(
-            f"need at least {degree + 1} distinct K values, got {len(np.unique(x))}"
-        )
+    # degree + 1 points fit exactly (R^2 = 1); one more leaves a residual
+    distinct = len(np.unique(x))
+    if distinct < degree + 2:
+        raise DegenerateFit(f"need at least {degree + 2} distinct K values, got {distinct}")
     coeffs = np.polyfit(x, y, degree)
     resid = y - np.polyval(coeffs, x)
     ss_res = float(resid @ resid)

@@ -1,22 +1,31 @@
 """Command-line front end: topk, decode, and bench subcommands.
 
 Exit codes: 0 success, 1 decode did not find a valid candidate, 2 usage or
-parse error, 3 non-finite numeric input.
+parse error, 3 non-finite numeric input (NaN, an infinity, or an integer
+too large for a float).
 
 Input files hold one number pair per line as "a,b" (an optional header
 line is detected by a non-numeric first token), or JSON of the form
 {"pairs": [[a, b], ...]}. The decode input uses the same shape with one
-confidence pair per bit.
+confidence pair per bit. ``read_pairs`` parses either into one (N, 2)
+float64 array, which the engine takes without another conversion.
+
+The argument parser is built once per process and reused by every
+``main`` call; parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .bench import (
     BenchConfig,
@@ -56,13 +65,23 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-def read_pairs(path: str) -> list[tuple[float, float]]:
-    """Load (a, b) rows from a CSV or JSON file."""
+_NUMBER_TYPES = {int, float}
+
+
+def read_pairs(path: str) -> np.ndarray:
+    """Load (a, b) rows from a CSV or JSON file as an (N, 2) float64 array.
+
+    CSV tokens are parsed by ``float()``; JSON values must be JSON numbers
+    (``true``/``false`` are rejected). A malformed file raises ParseError
+    naming its first bad row; a JSON integer too large for a float raises
+    NonFiniteInput.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    if text.lstrip().startswith("{"):
+    is_json = text.lstrip().startswith("{")
+    if is_json:
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -70,29 +89,51 @@ def read_pairs(path: str) -> list[tuple[float, float]]:
         rows = obj.get("pairs")
         if not isinstance(rows, list):
             raise ParseError(f'{path}: JSON must carry a "pairs" list')
-        for idx, row in enumerate(rows, start=1):
-            # type(), not isinstance: JSON true/false must not pass as 1/0.
-            ok = type(row) is list and len(row) == 2
-            if not (ok and type(row[0]) in (int, float) and type(row[1]) in (int, float)):
-                raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
+        # type(), not isinstance: JSON true/false must not pass as 1/0.
+        if not (
+            set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {2}
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
+        ):
+            _raise_first_bad_row(path, rows, is_json)
     else:
-        rows = [line.split(",") for line in text.splitlines() if line.strip()]
+        rows = list(filter(str.strip, text.splitlines()))
         if rows:
             try:
-                float(rows[0][0])
+                float(rows[0].partition(",")[0])
             except ValueError:
-                rows = rows[1:]  # header line
-    pairs = []
-    for idx, row in enumerate(rows, start=1):
-        if len(row) != 2:
-            raise ParseError(f"{path}: row {idx}: expected two values, got {len(row)}")
-        try:
-            pairs.append((float(row[0]), float(row[1])))
-        except (TypeError, ValueError):
-            raise ParseError(f"{path}: row {idx}: non-numeric value in {row!r}")
-    if not pairs:
+                del rows[0]  # header line
+        if set(map(str.count, rows, repeat(","))) - {1}:
+            _raise_first_bad_row(path, rows, is_json)
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    return pairs
+    if is_json:
+        try:
+            return np.array(rows, dtype=float)
+        except OverflowError:
+            raise NonFiniteInput() from None
+    # One comma per line, so these are each line's two tokens in order.
+    tokens = ",".join(rows).split(",")
+    try:
+        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, 2)
+    except ValueError:
+        _raise_first_bad_row(path, rows, is_json)
+
+
+def _raise_first_bad_row(path: str, rows: list, is_json: bool) -> None:
+    """Walk JSON rows or CSV lines in order and raise the first one's ParseError."""
+    for idx, row in enumerate(rows, start=1):
+        if is_json:
+            if not (type(row) is list and len(row) == 2 and set(map(type, row)) <= _NUMBER_TYPES):
+                raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
+            continue
+        tokens = row.split(",")
+        if len(tokens) != 2:
+            raise ParseError(f"{path}: row {idx}: expected two values, got {len(tokens)}")
+        try:
+            float(tokens[0]), float(tokens[1])
+        except ValueError:
+            raise ParseError(f"{path}: row {idx}: non-numeric value in {tokens!r}")
 
 
 def _emit(path: str, text: str) -> None:
@@ -197,6 +238,7 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairsums",

@@ -46,7 +46,10 @@ class Direction(enum.Enum):
 
 
 class NonFiniteInput(ValueError):
-    """Input contains NaN or an infinity."""
+    """Input contains NaN, an infinity, or an integer too large for a float."""
+
+    def __init__(self, message: str = "pairs must be finite (no NaN, no infinities)"):
+        super().__init__(message)
 
 
 class EmptyInput(ValueError):
@@ -189,15 +192,19 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     orders each pair componentwise (recording flips), then stable-sorts the
     gaps ascending (recording the permutation).
 
-    Raises NonFiniteInput on NaN/infinity and EmptyInput on zero pairs.
+    Raises NonFiniteInput on NaN, infinity or an integer too large for a
+    float, and EmptyInput on zero pairs.
     """
-    arr = np.asarray(pairs, dtype=float)
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except OverflowError:
+        raise NonFiniteInput() from None
     if arr.size == 0:
         raise EmptyInput("need at least one pair")
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"expected shape (N, 2), got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise NonFiniteInput("pairs must be finite (no NaN, no infinities)")
+        raise NonFiniteInput()
     if direction is Direction.MAX:
         arr = -arr
 

@@ -127,6 +127,15 @@ class TestFits:
         with pytest.raises(DegenerateFit):
             fit_quadratic(synthetic((1e-8, 0, 0), [5, 5, 5]))
 
+    def test_exact_fits_are_degenerate(self):
+        # degree + 1 distinct K give a curve through every point (R^2 = 1)
+        with pytest.raises(DegenerateFit, match="at least 4 distinct K values, got 3"):
+            fit_quadratic(synthetic((1e-8, 0, 0), [1, 2, 4, 4]))
+        with pytest.raises(DegenerateFit, match="at least 3 distinct K values, got 2"):
+            fit_pending_linear(synthetic((1e-8, 0, 0), [1, 2, 400, 800]), k_min=100)
+        assert fit_quadratic(synthetic((1e-8, 0, 0), [1, 2, 4, 8])).r_squared == pytest.approx(1.0)
+        assert fit_pending_linear(synthetic((1e-8, 0, 0), [1, 2, 4])).m1 == pytest.approx(3.0)
+
     def test_mixed_n_rejected(self):
         rows = synthetic((1e-8, 0, 0), [1, 2, 4], n=10) + synthetic(
             (1e-8, 0, 0), [1, 2, 4], n=20
@@ -142,7 +151,7 @@ class TestFits:
         assert fit.r_squared == pytest.approx(1.0)
 
     def test_pending_linear_k_min_filters(self):
-        rows = synthetic((1e-8, 0, 0), [1, 2, 400, 800])
+        rows = synthetic((1e-8, 0, 0), [1, 2, 400, 800, 1600])
         fit = fit_pending_linear(rows, k_min=100)
         assert fit.m1 == pytest.approx(3.0)
 

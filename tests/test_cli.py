@@ -4,14 +4,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pairsums.cli import ParseError, main, read_pairs
+from pairsums.cli import ParseError, build_parser, main, read_pairs
 
 PAIRS_CSV = "1,5\n2,3\n0,4\n"
 SRC = Path(__file__).resolve().parents[1] / "src"
 QUAD_HEADER = "n,c2,c1,c0,r_squared"
 LINE_HEADER = "n,m1,m0,r_squared"
+HUGE_INT = "1" + "0" * 400  # an integer beyond float range
+
+
+def assert_pairs(got, want):
+    assert isinstance(got, np.ndarray)
+    assert got.dtype == np.float64
+    assert got.shape == (len(want), 2)
+    assert got.tolist() == [list(row) for row in want]
 
 
 @pytest.fixture
@@ -30,17 +39,17 @@ def conf_file(tmp_path):
 
 class TestReadPairs:
     def test_plain_csv(self, pairs_file):
-        assert read_pairs(pairs_file) == [(1, 5), (2, 3), (0, 4)]
+        assert_pairs(read_pairs(pairs_file), [(1, 5), (2, 3), (0, 4)])
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n1,2\n")
-        assert read_pairs(str(path)) == [(1, 2)]
+        assert_pairs(read_pairs(str(path)), [(1, 2)])
 
     def test_json_input(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text('{"pairs": [[0, 1], [0.5, 2]]}')
-        assert read_pairs(str(path)) == [(0, 1), (0.5, 2)]
+        assert_pairs(read_pairs(str(path)), [(0, 1), (0.5, 2)])
 
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -83,6 +92,38 @@ class TestReadPairs:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["topk", "decode"])
+    @pytest.mark.parametrize("number", [HUGE_INT, "-" + HUGE_INT, "1e400"])
+    def test_number_beyond_float_range_exits_three(self, tmp_path, capsys, command, number):
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"pairs": [[{number}, 2], [0.5, 1]]}}')
+        args = [command, "--input", str(path)] + (["--k", "1"] if command == "topk" else [])
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: pairs must be finite (no NaN, no infinities)\n"
+        assert captured.out == ""
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_flags_do_not_leak_into_next_call(self, pairs_file, capsys):
+        assert main(["topk", "--input", pairs_file, "--k", "2", "--direction", "max",
+                     "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["selection"] == "111"
+        assert main(["topk", "--input", pairs_file, "--k", "2"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["rank", "sum", "selection"]  # table
+        assert lines[1].split() == ["1", "3.0", "000"]  # min
+
+    def test_usage_error_does_not_poison_next_call(self, pairs_file, capsys):
+        assert main(["topk", "--input", pairs_file, "--k", "0"]) == 2
+        assert main(["topk", "--input", pairs_file, "--wat"]) == 2
+        capsys.readouterr()
+        assert main(["topk", "--input", pairs_file, "--k", "1", "--format", "csv"]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[1] == "1,3,000"
 
 
 class TestTopkCommand:
@@ -219,6 +260,17 @@ class TestBenchCommand:
         assert quad[0] == QUAD_HEADER
         assert [row.split(",")[0] for row in quad[1:]] == ["20"]
         assert "n=1: time fit skipped" in captured.err
+
+    def test_two_point_pending_fit_is_skipped(self, tmp_path, capsys):
+        # n=1 has K = 1, 2: a line through two points would report R^2 = 1
+        code = main(["bench", "--n", "1,20", "--k-max", "50", "--samples", "5",
+                     "--fit", "--output", str(tmp_path / "bench.csv")])
+        assert code == 0
+        captured = capsys.readouterr()
+        out = captured.out.strip().splitlines()
+        line = out[out.index(LINE_HEADER) + 1:]
+        assert [row.split(",")[0] for row in line] == ["20"]
+        assert "n=1: pending fit skipped: need at least 3 distinct K values, got 2" in captured.err
 
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(SRC))

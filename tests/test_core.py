@@ -118,6 +118,13 @@ class TestNormalize:
         with pytest.raises(NonFiniteInput):
             normalize([(math.inf, 1.0)], Direction.MIN)
 
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024])
+    def test_integer_beyond_float_range_rejected(self, big):
+        with pytest.raises(NonFiniteInput):
+            normalize([(0.5, 1.0), (big, 1)], Direction.MIN)
+        with pytest.raises(NonFiniteInput):
+            top_k([[big, 1]], 1)
+
     def test_arrays_read_only(self, instance):
         with pytest.raises(ValueError):
             instance.delta[0] = 99

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairsums import decode
-from pairsums.core import Direction
+from pairsums.core import Direction, NonFiniteInput
 from pairsums.decode import (
     Checksum,
     DecodeResult,
@@ -73,6 +73,10 @@ class TestValidators:
 
 
 class TestDecodeBest:
+    def test_integer_beyond_float_range_is_non_finite(self):
+        with pytest.raises(NonFiniteInput):
+            decode_best([(0.1, 0.9), (10**400, 1)], Checksum.PARITY_EVEN)
+
     def test_none_returns_argmax(self):
         result = decode_best(CONF3, Checksum.NONE)
         assert result.found

@@ -1,0 +1,224 @@
+"""Differential tests: read_pairs against a frozen copy of its row-by-row loop.
+
+``reference_read_pairs`` is the parser as it was when ``read_pairs`` still
+returned a list of tuples. For every generated file the array parser must
+give the same values (compared as bytes) or the same ParseError message.
+The one intended difference: a JSON integer too large for a float made
+the row loop raise OverflowError, and ``read_pairs`` raises NonFiniteInput.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pairsums.cli import ParseError, _format_topk, main, read_pairs
+from pairsums.core import Direction, NonFiniteInput, top_k
+
+
+def reference_read_pairs(path: str) -> list[tuple[float, float]]:
+    """Frozen row loop; do not edit."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+    if text.lstrip().startswith("{"):
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}: bad JSON: {exc}")
+        rows = obj.get("pairs")
+        if not isinstance(rows, list):
+            raise ParseError(f'{path}: JSON must carry a "pairs" list')
+        for idx, row in enumerate(rows, start=1):
+            ok = type(row) is list and len(row) == 2
+            if not (ok and type(row[0]) in (int, float) and type(row[1]) in (int, float)):
+                raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
+    else:
+        rows = [line.split(",") for line in text.splitlines() if line.strip()]
+        if rows:
+            try:
+                float(rows[0][0])
+            except ValueError:
+                rows = rows[1:]  # header line
+    pairs = []
+    for idx, row in enumerate(rows, start=1):
+        if len(row) != 2:
+            raise ParseError(f"{path}: row {idx}: expected two values, got {len(row)}")
+        try:
+            pairs.append((float(row[0]), float(row[1])))
+        except (TypeError, ValueError):
+            raise ParseError(f"{path}: row {idx}: non-numeric value in {row!r}")
+    if not pairs:
+        raise ParseError(f"{path}: no data rows")
+    return pairs
+
+
+def outcome(fn, path):
+    try:
+        return fn(path)
+    except (ParseError, NonFiniteInput, OverflowError) as exc:
+        return exc
+
+
+def assert_same_outcome(path):
+    want = outcome(reference_read_pairs, path)
+    got = outcome(read_pairs, path)
+    if isinstance(want, OverflowError):
+        assert isinstance(got, NonFiniteInput), got
+    elif isinstance(want, ParseError):
+        assert type(got) is ParseError, got
+        assert str(got) == str(want)
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == np.float64
+        assert got.shape == (len(want), 2)
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@pytest.fixture(scope="module")
+def input_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("read_pairs") / "input"
+
+
+# -- CSV ------------------------------------------------------------------
+
+NUMBER_TOKENS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from([
+        "0", "-0", "1e5", "-2.5E-3", "1_000", "1e400", "-1e400", "nan", "NaN",
+        "inf", "-Infinity", "+7", ".5", "5.", "١٢",
+    ]),
+)
+BAD_TOKENS = st.sampled_from(["", "abc", "a", "0x10", "1__0", "--1", "1e", "one", "1 2"])
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+
+
+@st.composite
+def csv_tokens(draw):
+    token = draw(st.one_of(NUMBER_TOKENS, NUMBER_TOKENS, NUMBER_TOKENS, BAD_TOKENS))
+    return draw(PADDING) + token + draw(PADDING)
+
+
+@st.composite
+def csv_texts(draw):
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["a,b", "x", "a,b,c", "conf0, conf1", "1,2"])))
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "wide", "narrow"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "  \t "])))
+        elif kind == "row":
+            lines.append(",".join(draw(st.lists(csv_tokens(), min_size=2, max_size=2))))
+        elif kind == "wide":
+            lines.append(",".join(draw(st.lists(csv_tokens(), min_size=3, max_size=4))))
+        else:
+            lines.append(draw(csv_tokens()))
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c"]),
+                           min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, breaks))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n\x0c")
+    return text
+
+
+@settings(max_examples=400)
+@given(csv_texts())
+def test_csv_matches_row_loop(input_file, text):
+    input_file.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(str(input_file))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n\n", "a,b\n", "a,b\n1,2\n", "1,2", " 1 , 2 \r\n3,4\r\n", "1_000,2\n",
+     "nan,inf\n", "1,2\n3\n", "1,2,3\n", "1,x\n4,5,6\n", "x,1\n1,x\n",
+     "1,2,3\n4,5,6\n", "1,2,3\n4\n", "1\n2,3,4\n"],
+)
+def test_csv_examples_match_row_loop(input_file, text):
+    input_file.write_bytes(text.encode("utf-8"))
+    assert_same_outcome(str(input_file))
+
+
+# -- JSON -----------------------------------------------------------------
+
+JSON_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-10**6, 10**6),
+    st.integers(2**53 - 4, 2**53 + 4),
+    st.integers(-10**30, 10**30),
+    st.sampled_from([10**400, -(10**400), 2**1024, 2**1024 - 2**970]),
+)
+# Fixed strings: st.text() would build hypothesis' Unicode table on first use.
+JSON_STRINGS = st.sampled_from(["", "1", "a", "1.5", "true", "١"])
+JSON_JUNK = st.one_of(
+    st.booleans(), st.none(), JSON_STRINGS,
+    st.dictionaries(JSON_STRINGS, st.integers(0, 3), max_size=2),
+    st.lists(JSON_NUMBERS, max_size=2),
+)
+
+
+@st.composite
+def json_rows(draw):
+    kind = draw(st.sampled_from(["pair"] * 8 + ["junk_value", "short", "long", "bare"]))
+    if kind == "pair":
+        return draw(st.lists(JSON_NUMBERS, min_size=2, max_size=2))
+    if kind == "junk_value":
+        row = draw(st.lists(JSON_NUMBERS, min_size=2, max_size=2))
+        row[draw(st.integers(0, 1))] = draw(JSON_JUNK)
+        return row
+    if kind == "short":
+        return draw(st.lists(JSON_NUMBERS, max_size=1))
+    if kind == "long":
+        return draw(st.lists(JSON_NUMBERS, min_size=3, max_size=4))
+    return draw(JSON_JUNK)
+
+
+@settings(max_examples=400)
+@given(st.lists(json_rows(), max_size=8), st.sampled_from(["", " ", "\n  "]))
+def test_json_matches_row_loop(input_file, rows, lead):
+    input_file.write_text(lead + json.dumps({"pairs": rows}))
+    assert_same_outcome(str(input_file))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"pairs": []}', '{"rows": []}', '{"pairs": 3}', '{"pairs": [[1, 2]', "{",
+     '{"pairs": [[true, 1]]}', '{"pairs": [[1, 2], [NaN, Infinity]]}',
+     '{"pairs": [[1e400, 2]]}', '{"pairs": [[9007199254740993, -0.0]]}',
+     '{"pairs": [[1, 2], ["3", 4]]}', '{"pairs": [[1, [2]]]}'],
+)
+def test_json_examples_match_row_loop(input_file, text):
+    input_file.write_text(text)
+    assert_same_outcome(str(input_file))
+
+
+def test_missing_file_matches_row_loop(tmp_path):
+    assert_same_outcome(str(tmp_path / "no_such_file.csv"))
+
+
+# -- end to end -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("in_fmt", ["csv", "json"])
+@pytest.mark.parametrize("direction", ["min", "max"])
+def test_main_output_matches_list_input(tmp_path, capsys, in_fmt, direction):
+    pairs = [tuple(row) for row in np.random.default_rng(11).random((2000, 2)).tolist()]
+    src = tmp_path / f"pairs.{in_fmt}"
+    if in_fmt == "json":
+        src.write_text(json.dumps({"pairs": pairs}))
+    else:
+        src.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs))
+    results = top_k(pairs, 50, Direction(direction))
+    for out_fmt in ("table", "csv", "json"):
+        dest = tmp_path / f"out.{out_fmt}"
+        argv = ["topk", "--input", str(src), "--k", "50", "--direction", direction,
+                "--format", out_fmt, "--output", str(dest)]
+        assert main(argv) == 0
+        assert dest.read_bytes() == _format_topk(results, out_fmt).encode()
+    assert capsys.readouterr().err == ""
