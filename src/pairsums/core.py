@@ -29,8 +29,10 @@ touched. Lexicographic comparisons read position 1 first.
 from __future__ import annotations
 
 import enum
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -193,7 +195,9 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     gaps ascending (recording the permutation).
 
     Raises NonFiniteInput on NaN, infinity or an integer too large for a
-    float, and EmptyInput on zero pairs.
+    float, and also when a gap, the sum of the smaller elements or the sum
+    of the larger elements overflows, so every one of the 2^N sums is
+    finite. Raises EmptyInput on zero pairs.
     """
     try:
         arr = np.asarray(pairs, dtype=float)
@@ -211,7 +215,12 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     flipped = arr[:, 0] > arr[:, 1]
     v0 = np.where(flipped, arr[:, 1], arr[:, 0])
     v1 = np.where(flipped, arr[:, 0], arr[:, 1])
-    gaps = v1 - v0
+    with np.errstate(over="ignore"):  # reported by the raise below instead
+        gaps = v1 - v0
+        s1 = float(v0.sum())
+        top = float(v1.sum())
+    if not all(map(math.isfinite, (s1, top, gaps.max()))):
+        raise NonFiniteInput("pair gaps or sums overflow the float range")
     perm = np.argsort(gaps, kind="stable")
     delta = gaps[perm]
     flip_mask = int.from_bytes(
@@ -219,9 +228,7 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     )
     delta.setflags(write=False)
     perm.setflags(write=False)
-    return ProblemInstance(
-        delta=delta, perm=perm, flip_mask=flip_mask, s1=float(v0.sum())
-    )
+    return ProblemInstance(delta=delta, perm=perm, flip_mask=flip_mask, s1=s1)
 
 
 def score(instance: ProblemInstance, combo: Combination) -> float:
@@ -381,11 +388,12 @@ class EnumerationState:
         return len(self.pending)
 
     def __iter__(self) -> Iterator[ScoredCombination]:
-        while True:
-            out = self.advance()
-            if out is None:
-                return
-            yield out
+        """Call ``advance`` until it returns None.
+
+        The iterator shares this state: each item is one ``advance`` call,
+        so ``pending_size`` and ``emitted_count`` stay in step with it.
+        """
+        return iter(self.advance, None)
 
 
 def init(instance: ProblemInstance) -> EnumerationState:
@@ -466,7 +474,7 @@ def iter_top(
     """Stream RankedChoice results in best-first order until exhaustion."""
     instance = normalize(pairs, direction)
     sign = -1.0 if direction is Direction.MAX else 1.0
-    for rank, emitted in enumerate(iter(init(instance)), start=1):
+    for rank, emitted in enumerate(init(instance), start=1):
         yield RankedChoice(
             rank,
             sign * emitted.sum,
@@ -485,12 +493,7 @@ def top_k(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
-    out = []
-    for choice in iter_top(pairs, direction):
-        out.append(choice)
-        if len(out) >= k:
-            break
-    return out
+    return list(islice(iter_top(pairs, direction), k))
 
 
 def pending_size(state: EnumerationState) -> int:

@@ -13,10 +13,11 @@ the last 8 bits (most-significant first) to equal the CRC of the leading
 message bits. CRC8 parameters are fixed: polynomial 0x07, init 0x00, no
 reflection, xor-out 0x00 (check value of "123456789" is 0xF4).
 
-Cost model. A Checksum kind is checked in the hat domain: both checks are
-linear over GF(2), so a candidate's syndrome is a per-frame base syndrome
-XOR one table entry per set bit of its hat mask. That costs O(N) once per
-frame and O(popcount) per candidate, and only the accepted candidate is
+Cost model. Every Checksum kind is one GF(2) syndrome table, checked in
+the hat domain: a candidate's syndrome is a per-frame base syndrome XOR
+one table entry per set bit of its hat mask. That costs O(N) once per
+frame and O(popcount) per candidate for every kind (for parity that is up
+from the O(1) a popcount would give), and only the accepted candidate is
 mapped back to selection bits. A callable validator sees every candidate's
 bit list, which costs O(N) per candidate. Results are identical either way.
 """
@@ -24,7 +25,9 @@ bit list, which costs O(N) per candidate. Results are identical either way.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import Combination, Direction, ProblemInstance, denormalize, init, normalize
@@ -122,29 +125,31 @@ def _hat_acceptor(
 ) -> Callable[[int], Optional[Combination]]:
     """Per-frame test of hat masks: selection bits if accepted, else None.
 
-    The selection is ``denormalize(hat) ^ flip_mask`` and both checks are
-    linear, so the flip mask folds into a base syndrome and each hat bit
-    contributes its original position's syndrome.
+    Every kind is a GF(2) syndrome table over original positions (CRC-8,
+    all ones for parity, all zeros for NONE); a word is valid when the XOR
+    of its set bits' syndromes is zero. A selection is the hat mask moved
+    back to original positions XOR ``flip_mask``, so the flip mask folds
+    into a base syndrome and each hat bit contributes its original
+    position's entry.
     """
     n = instance.n
-    make_validator(kind, n)  # the one place that rejects unknown kinds and bad N
-
-    def accept(mask: int) -> Combination:
-        return denormalize(instance, Combination(n, mask))
-
-    if kind is Checksum.NONE:
-        return accept
-    if kind is Checksum.PARITY_EVEN:
-        base = instance.flip_mask.bit_count()
-        return lambda mask: None if (base + mask.bit_count()) & 1 else accept(mask)
-    syndromes = crc8_syndromes(n)
+    if kind is Checksum.CRC8:
+        syndromes = crc8_syndromes(n)
+    elif kind is Checksum.PARITY_EVEN:
+        syndromes = [1] * n
+    elif kind is Checksum.NONE:
+        syndromes = [0] * n
+    else:
+        raise ValueError(f"unknown checksum kind: {kind!r}")
     table = [syndromes[j] for j in instance.perm.tolist()]
     base = _xor_over_bits(syndromes, instance.flip_mask)
 
-    def crc_accept(mask: int) -> Optional[Combination]:
-        return None if _xor_over_bits(table, mask) != base else accept(mask)
+    def accept(mask: int) -> Optional[Combination]:
+        if _xor_over_bits(table, mask) != base:
+            return None
+        return denormalize(instance, Combination(n, mask))
 
-    return crc_accept
+    return accept
 
 
 def _callable_acceptor(
@@ -196,13 +201,9 @@ def decode_best(
         accept = _hat_acceptor(checksum, instance)
     else:
         accept = _callable_acceptor(checksum, instance)
-    state = init(instance)
-    tested = 0
-    while tested < max_candidates:
-        emitted = state.advance()
-        if emitted is None:
-            break
-        tested += 1
+    # islice takes at most sys.maxsize; no walk gets that far
+    candidates = islice(init(instance), min(max_candidates, sys.maxsize))
+    for tested, emitted in enumerate(candidates, start=1):
         selection = accept(emitted.combo.mask)
         if selection is not None:
             return DecodeResult(

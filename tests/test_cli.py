@@ -104,6 +104,17 @@ class TestReadPairs:
         assert captured.err == "error: pairs must be finite (no NaN, no infinities)\n"
         assert captured.out == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["topk", "decode"])
+    def test_overflowing_gap_or_sum_exits_three(self, tmp_path, capsys, command):
+        path = tmp_path / "overflow.csv"
+        path.write_text("-1.7e308,1.7e308\n1e308,1.5e308\n1e308,1.2e308\n")
+        args = [command, "--input", str(path)] + (["--k", "8"] if command == "topk" else [])
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: pair gaps or sums overflow the float range\n"
+        assert captured.out == ""
+
 
 class TestParserReuse:
     def test_parser_is_built_once(self):
@@ -211,6 +222,12 @@ class TestDecodeCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "found,bits,rank,confidence,candidates_tested"
         assert lines[1] == "false,,,,1"
+
+    def test_budget_beyond_sys_maxsize(self, conf_file, capsys):
+        code = main(["decode", "--input", conf_file, "--checksum", "parity",
+                     "--max-candidates", str(10**20), "--format", "csv"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith("true,101,2,")
 
     def test_crc8_too_short_exits_two(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -125,6 +125,29 @@ class TestNormalize:
         with pytest.raises(NonFiniteInput):
             top_k([[big, 1]], 1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", list(Direction))
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(-1.7e308, 1.7e308)],  # the gap overflows
+            [(1e308, 1.5e308), (1e308, 1.2e308)],  # the smaller elements' sum
+            [(0.0, 1e308), (0.0, 1e308)],  # the larger elements' sum
+        ],
+    )
+    def test_overflowing_gap_or_sum_rejected(self, pairs, direction):
+        with pytest.raises(NonFiniteInput, match="overflow the float range"):
+            normalize(pairs, direction)
+        with pytest.raises(NonFiniteInput, match="overflow the float range"):
+            top_k(pairs, 4, direction)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_sums_near_the_float_limit_still_rank(self, direction):
+        sums = [r.sum for r in top_k([(1.7e308, 0.0), (-1.7e308, 0.0)], 4, direction)]
+        want = [-1.7e308, 0.0, 0.0, 1.7e308]
+        assert sums == (want if direction is Direction.MIN else want[::-1])
+
     def test_arrays_read_only(self, instance):
         with pytest.raises(ValueError):
             instance.delta[0] = 99
@@ -266,6 +289,15 @@ class TestAdvance:
             assert state.emitted_count == expected
         assert state.advance() is None
         assert state.emitted_count == 8
+
+    def test_iteration_and_advance_share_one_state(self, instance):
+        state = init(instance)
+        it = iter(state)
+        first = next(it)
+        second = state.advance()
+        rest = list(it)
+        assert [first.sum, second.sum] + [r.sum for r in rest] == [3, 4, 7, 7, 8, 8, 11, 12]
+        assert state.emitted_count == 8 and state.advance() is None
 
     def test_tie_extraction_prefers_lex_smaller(self):
         # delta [1,1,2]; after 3 pulls both 001 (sum 2) and 110 (sum 2) pend

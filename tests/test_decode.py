@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairsums import decode
-from pairsums.core import Direction, NonFiniteInput
+from pairsums.core import Direction, NonFiniteInput, normalize
 from pairsums.decode import (
     Checksum,
     DecodeResult,
@@ -76,6 +76,19 @@ class TestDecodeBest:
     def test_integer_beyond_float_range_is_non_finite(self):
         with pytest.raises(NonFiniteInput):
             decode_best([(0.1, 0.9), (10**400, 1)], Checksum.PARITY_EVEN)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_confidence_sums_are_non_finite(self):
+        conf = [(0.1, 0.9), (1e308, 1.5e308), (1e308, 1.2e308)]
+        for kind in Checksum:
+            with pytest.raises(NonFiniteInput, match="overflow the float range"):
+                decode_best(conf, kind)
+
+    def test_budget_beyond_sys_maxsize(self):
+        want = decode_best(CONF3, Checksum.PARITY_EVEN)
+        assert decode_best(CONF3, Checksum.PARITY_EVEN, 10**20) == want
+        miss = decode_best(CONF3, lambda bits: False, 10**20)
+        assert (miss.found, miss.candidates_tested) == (False, 8)
 
     def test_none_returns_argmax(self):
         result = decode_best(CONF3, Checksum.NONE)
@@ -213,3 +226,8 @@ class TestHatDomainChecks:
     def test_crc8_needs_payload(self):
         with pytest.raises(ValueError):
             decode_best([(0.2, 0.8)] * 8, Checksum.CRC8)
+
+    def test_kind_without_syndrome_table_raises(self):
+        instance = normalize(CONF3, Direction.MAX)
+        with pytest.raises(ValueError, match="unknown checksum kind"):
+            decode._hat_acceptor("crc8", instance)

@@ -115,7 +115,7 @@ def frame_conf(kind: Checksum, index: int) -> tuple[list[tuple[float, float]], i
 def frame_record(kind: Checksum, index: int) -> list:
     conf, budget = frame_conf(kind, index)
     r = decode_best(conf, kind, budget)
-    confidence = None if r.confidence is None else float(r.confidence).hex()
+    confidence = None if r.confidence is None else r.confidence.hex()
     return [r.found, r.bits, r.rank, confidence, r.candidates_tested]
 
 
