@@ -21,6 +21,7 @@ import csv
 import io
 import time
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -98,17 +99,13 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
             rng = np.random.default_rng([config.seed, n, trial])
             pairs = rng.random((n, 2))
             instance = normalize(pairs)
-            warm = init(instance)
-            for _ in range(min(WARMUP_STEPS, cps[-1])):
-                if warm.advance() is None:
-                    break
+            for _ in islice(init(instance), min(WARMUP_STEPS, cps[-1])):
+                pass
             state = init(instance)
-            emitted = 0
             start = time.process_time()
             for k in cps:
-                while emitted < k:
-                    state.advance()
-                    emitted += 1
+                for _ in islice(state, k - state.emitted_count):
+                    pass
                 records.append(
                     BenchRecord(
                         n=n,

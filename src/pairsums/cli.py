@@ -17,6 +17,7 @@ The argument parser is built once per process and reused by every
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import io
 import json
@@ -173,25 +174,23 @@ def cmd_topk(args) -> int:
     return EXIT_OK
 
 
+def _csv_cell(value) -> str:
+    """One decode CSV cell: booleans in lower case, floats round-trip, None empty."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
 def _format_decode(result, fmt: str) -> str:
-    row = {
-        "found": result.found,
-        "bits": result.bits,
-        "rank": result.rank,
-        "confidence": result.confidence,
-        "candidates_tested": result.candidates_tested,
-    }
+    row = dataclasses.asdict(result)
     if fmt == "json":
         return json.dumps(row, indent=2) + "\n"
     if fmt == "csv":
-        cells = [
-            str(result.found).lower(),
-            result.bits or "",
-            "" if result.rank is None else str(result.rank),
-            "" if result.confidence is None else f"{result.confidence:.17g}",
-            str(result.candidates_tested),
-        ]
-        return "found,bits,rank,confidence,candidates_tested\n" + ",".join(cells) + "\n"
+        return ",".join(row) + "\n" + ",".join(map(_csv_cell, row.values())) + "\n"
     lines = [f"{key}: {value}" for key, value in row.items()]
     return "\n".join(lines) + "\n"
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
@@ -195,9 +196,10 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     gaps ascending (recording the permutation).
 
     Raises NonFiniteInput on NaN, infinity or an integer too large for a
-    float, and also when a gap, the sum of the smaller elements or the sum
-    of the larger elements overflows, so every one of the 2^N sums is
-    finite. Raises EmptyInput on zero pairs.
+    float, and also when a gap, the sum of the smaller elements' magnitudes
+    or the sum of the larger elements' magnitudes overflows. Those bounds
+    do not depend on input order, and every one of the 2^N sums lies
+    within them, so every sum is finite. Raises EmptyInput on zero pairs.
     """
     try:
         arr = np.asarray(pairs, dtype=float)
@@ -218,8 +220,9 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     with np.errstate(over="ignore"):  # reported by the raise below instead
         gaps = v1 - v0
         s1 = float(v0.sum())
-        top = float(v1.sum())
-    if not all(map(math.isfinite, (s1, top, gaps.max()))):
+        # sums of magnitudes bound every partial sum whatever the order
+        bounds = (np.abs(v0).sum(), np.abs(v1).sum(), gaps.max())
+    if not all(map(math.isfinite, bounds)):
         raise NonFiniteInput("pair gaps or sums overflow the float range")
     perm = np.argsort(gaps, kind="stable")
     delta = gaps[perm]
@@ -493,7 +496,8 @@ def top_k(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
-    return list(islice(iter_top(pairs, direction), k))
+    # islice takes at most sys.maxsize; no enumeration gets that far
+    return list(islice(iter_top(pairs, direction), min(k, sys.maxsize)))
 
 
 def pending_size(state: EnumerationState) -> int:

@@ -13,13 +13,14 @@ the last 8 bits (most-significant first) to equal the CRC of the leading
 message bits. CRC8 parameters are fixed: polynomial 0x07, init 0x00, no
 reflection, xor-out 0x00 (check value of "123456789" is 0xF4).
 
-Cost model. Every Checksum kind is one GF(2) syndrome table, checked in
-the hat domain: a candidate's syndrome is a per-frame base syndrome XOR
-one table entry per set bit of its hat mask. That costs O(N) once per
-frame and O(popcount) per candidate for every kind (for parity that is up
-from the O(1) a popcount would give), and only the accepted candidate is
-mapped back to selection bits. A callable validator sees every candidate's
-bit list, which costs O(N) per candidate. Results are identical either way.
+Cost model. An acceptor answers yes or no to each candidate, and only the
+winner is mapped back to selection bits. Every Checksum kind is one GF(2)
+syndrome table, checked in the hat domain: a candidate's syndrome is a
+per-frame base syndrome XOR one table entry per set bit of its hat mask.
+That costs O(N) once per frame and O(popcount) per candidate for every
+kind (for parity that is up from the O(1) a popcount would give). A
+callable validator sees every candidate's bit list, which costs O(N) per
+candidate. Results are identical either way.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 from .core import Combination, Direction, ProblemInstance, denormalize, init, normalize
 
 CRC8_POLY = 0x07
-CRC8_INIT = 0x00
+# _CRC8_STEP[r]: register r after one shift with a zero bit fed in
+_CRC8_STEP = [((r << 1) ^ (CRC8_POLY if r & 0x80 else 0)) & 0xFF for r in range(256)]
 
 DEFAULT_MAX_CANDIDATES = 10**6
 
@@ -45,14 +47,13 @@ class Checksum(enum.Enum):
 
 
 def crc8(bits: Iterable[int]) -> int:
-    """CRC-8 over a bit sequence, first bit processed first (MSB-first)."""
-    reg = CRC8_INIT
+    """CRC-8 over a bit sequence, first bit processed first (MSB-first).
+
+    The register starts at 0, which ``crc8_syndromes`` relies on.
+    """
+    reg = 0
     for b in bits:
-        reg ^= (b & 1) << 7
-        if reg & 0x80:
-            reg = ((reg << 1) ^ CRC8_POLY) & 0xFF
-        else:
-            reg = (reg << 1) & 0xFF
+        reg = _CRC8_STEP[reg ^ ((b & 1) << 7)]
     return reg
 
 
@@ -93,17 +94,16 @@ def crc8_syndromes(n: int) -> list[int]:
     Entry j belongs to the word whose only one sits at 0-based position j.
     A message bit's syndrome is its CRC: the register after the bit is
     set, shifted through the zero bits that follow it. A stored bit's
-    syndrome is its own weight in the stored byte.
+    syndrome is its own weight in the stored byte. The table relies on
+    ``crc8``'s zero start: only then is the CRC linear over GF(2), so that
+    a word's syndrome is the XOR of its set bits' entries.
     """
     if n <= 8:
         raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
     table = [0] * n
     reg = 0x80
     for j in range(n - 9, -1, -1):
-        if reg & 0x80:
-            reg = ((reg << 1) ^ CRC8_POLY) & 0xFF
-        else:
-            reg = (reg << 1) & 0xFF
+        reg = _CRC8_STEP[reg]
         table[j] = reg
     for t in range(8):
         table[n - 8 + t] = 0x80 >> t
@@ -122,8 +122,8 @@ def _xor_over_bits(table: list[int], mask: int) -> int:
 
 def _hat_acceptor(
     kind: Checksum, instance: ProblemInstance
-) -> Callable[[int], Optional[Combination]]:
-    """Per-frame test of hat masks: selection bits if accepted, else None.
+) -> Callable[[Combination], bool]:
+    """Per-frame yes/no test of hat-domain candidates.
 
     Every kind is a GF(2) syndrome table over original positions (CRC-8,
     all ones for parity, all zeros for NONE); a word is valid when the XOR
@@ -143,26 +143,7 @@ def _hat_acceptor(
         raise ValueError(f"unknown checksum kind: {kind!r}")
     table = [syndromes[j] for j in instance.perm.tolist()]
     base = _xor_over_bits(syndromes, instance.flip_mask)
-
-    def accept(mask: int) -> Optional[Combination]:
-        if _xor_over_bits(table, mask) != base:
-            return None
-        return denormalize(instance, Combination(n, mask))
-
-    return accept
-
-
-def _callable_acceptor(
-    validator: Callable[[Sequence[int]], bool], instance: ProblemInstance
-) -> Callable[[int], Optional[Combination]]:
-    """Map every candidate to selection bits and ask the validator."""
-    n = instance.n
-
-    def accept(mask: int) -> Optional[Combination]:
-        selection = denormalize(instance, Combination(n, mask))
-        return selection if validator(selection.to_bits()) else None
-
-    return accept
+    return lambda combo: _xor_over_bits(table, combo.mask) == base
 
 
 @dataclass(frozen=True)
@@ -200,15 +181,14 @@ def decode_best(
     if isinstance(checksum, Checksum):
         accept = _hat_acceptor(checksum, instance)
     else:
-        accept = _callable_acceptor(checksum, instance)
+        accept = lambda combo: checksum(denormalize(instance, combo).to_bits())
     # islice takes at most sys.maxsize; no walk gets that far
     candidates = islice(init(instance), min(max_candidates, sys.maxsize))
     for tested, emitted in enumerate(candidates, start=1):
-        selection = accept(emitted.combo.mask)
-        if selection is not None:
+        if accept(emitted.combo):
             return DecodeResult(
                 found=True,
-                bits=selection.to01(),
+                bits=denormalize(instance, emitted.combo).to01(),
                 rank=tested,
                 confidence=-emitted.sum,
                 candidates_tested=tested,

@@ -179,6 +179,14 @@ class TestTopkCommand:
               "--output", str(dest)])
         assert dest.read_text().splitlines()[1] == "1,3,000"
 
+    def test_k_beyond_sys_maxsize_prints_every_row(self, pairs_file, capsys):
+        code = main(["topk", "--input", pairs_file, "--k", str(10**20),
+                     "--format", "csv"])
+        assert code == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 1 + 2**3
+        assert [ln.split(",")[0] for ln in lines[1:]] == [str(r) for r in range(1, 9)]
+
     def test_k_zero_is_usage_error(self, pairs_file):
         assert main(["topk", "--input", pairs_file, "--k", "0"]) == 2
 

@@ -1,4 +1,5 @@
 import heapq
+import itertools
 import math
 import random
 
@@ -140,6 +141,15 @@ class TestNormalize:
             normalize(pairs, direction)
         with pytest.raises(NonFiniteInput, match="overflow the float range"):
             top_k(pairs, 4, direction)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_overflow_rule_ignores_input_order(self, direction):
+        # two orderings of these pairs sum to 1e308 in float, one to inf
+        pairs = [(1e308, 1e308), (1e308, 1e308), (-1e308, -1e308)]
+        for ordering in itertools.permutations(pairs):
+            with pytest.raises(NonFiniteInput, match="overflow the float range"):
+                normalize(list(ordering), direction)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("direction", list(Direction))
@@ -372,6 +382,9 @@ class TestTopK:
         for r in top_k(PAIRS, 8, Direction.MIN):
             chosen = sum(p[b] for p, b in zip(PAIRS, r.selection_bits()))
             assert chosen == r.sum
+
+    def test_k_beyond_sys_maxsize_returns_all(self):
+        assert [r.sum for r in top_k(PAIRS, 10**20)] == [3, 4, 7, 7, 8, 8, 11, 12]
 
     def test_k_zero_rejected(self):
         with pytest.raises(InvalidK):
