@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import islice
 from typing import NamedTuple, Optional, Sequence
 
@@ -28,7 +28,6 @@ import numpy as np
 
 from .core import init, normalize
 
-CSV_HEADER = ("n", "k", "pending_size", "elapsed_s", "trial", "seed")
 WARMUP_STEPS = 1000  # untimed enumeration steps before each trial
 
 
@@ -71,11 +70,12 @@ class BenchRecord:
     seed: int
 
 
+CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
+
+
 def checkpoints_for(config: BenchConfig, n: int) -> list[int]:
     """Ascending unique K checkpoints for one n, clipped to min(k_max, 2^n)."""
-    k_cap = config.k_max
-    if n < 63:
-        k_cap = min(k_cap, 1 << n)
+    k_cap = min(config.k_max, 1 << n)
     if config.k_checkpoints is not None:
         ks = sorted({int(k) for k in config.k_checkpoints if 1 <= k <= k_cap})
         if not ks:
@@ -175,8 +175,7 @@ def fit_pending_linear(
 
 
 def write_csv(records: Sequence[BenchRecord], fileobj: io.TextIOBase) -> None:
-    """Emit records as CSV with header n,k,pending_size,elapsed_s,trial,seed."""
+    """Emit records as CSV under CSV_HEADER; ``csv`` writes floats with ``repr``."""
     writer = csv.writer(fileobj)
     writer.writerow(CSV_HEADER)
-    for r in records:
-        writer.writerow([r.n, r.k, r.pending_size, repr(r.elapsed_s), r.trial, r.seed])
+    writer.writerows(map(astuple, records))

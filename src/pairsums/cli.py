@@ -212,6 +212,8 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         trials=args.trials,
     )
+    if args.output != "-":
+        open(args.output, "a").close()  # fail before the campaign, not after it
     records = run_bench(config)
     buf = io.StringIO()
     write_csv(records, buf)
@@ -269,11 +271,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.set_defaults(func=cmd_decode)
 
     p_bench = sub.add_parser("bench", help="run scaling measurements, emit CSV")
-    p_bench.add_argument("--n", type=_int_list, default=[15, 100, 1000])
-    p_bench.add_argument("--k-max", type=_positive_int, default=100_000)
-    p_bench.add_argument("--samples", type=_positive_int, default=50)
-    p_bench.add_argument("--trials", type=_positive_int, default=1)
-    p_bench.add_argument("--seed", type=int, default=42)
+    p_bench.add_argument("--n", type=_int_list, default=BenchConfig.n_values)
+    p_bench.add_argument("--k-max", type=_positive_int, default=BenchConfig.k_max)
+    p_bench.add_argument("--samples", type=_positive_int, default=BenchConfig.k_samples)
+    p_bench.add_argument("--trials", type=_positive_int, default=BenchConfig.trials)
+    p_bench.add_argument("--seed", type=int, default=BenchConfig.seed)
     p_bench.add_argument("--fit", action="store_true", help="print time and frontier-size fits")
     p_bench.add_argument("--output", default="-", help="CSV path, - for stdout")
     p_bench.set_defaults(func=cmd_bench)

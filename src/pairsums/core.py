@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -346,22 +347,15 @@ class EnumerationState:
     advance concurrently on one state.
     """
 
-    __slots__ = (
-        "instance",
-        "pending",
-        "seen",
-        "emitted_count",
-        "_steps",
-    )
+    __slots__ = ("instance", "pending", "seen", "emitted_count", "_delta")
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
         self.pending = PendingSet()
         self.seen: set[int] = {0}
         self.emitted_count = 0
-        # _steps[k]: sum increment for landing bit k (see _child_moves);
-        # _steps[0] = delta[0] - 0.0 is exact.
-        self._steps = np.diff(instance.delta, prepend=0.0).tolist()
+        # O(1) view of the gaps, no copy; indexing it yields Python floats
+        self._delta = memoryview(instance.delta)
         self.pending.insert_batch([(instance.s1, _LexKey(0), 0)])
 
     def advance(self) -> Optional[ScoredCombination]:
@@ -376,12 +370,14 @@ class EnumerationState:
         total, _, mask = entry
         n = self.instance.n
         seen = self.seen
-        steps = self._steps
+        delta = self._delta
         batch = []
         for child, k in _child_moves(mask, n):
             if child not in seen:
                 seen.add(child)
-                batch.append((total + steps[k], _LexKey(child), child))
+                # the sum increment for landing bit k (see _child_moves)
+                step = delta[k] - delta[k - 1] if k else delta[0]
+                batch.append((total + step, _LexKey(child), child))
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1
@@ -474,16 +470,13 @@ class RankedChoice:
 def iter_top(
     pairs: PairList, direction: Direction = Direction.MIN
 ) -> Iterator[RankedChoice]:
-    """Stream RankedChoice results in best-first order until exhaustion."""
+    """Stream RankedChoice results best-first; bad input raises at the call."""
     instance = normalize(pairs, direction)
     sign = -1.0 if direction is Direction.MAX else 1.0
-    for rank, emitted in enumerate(init(instance), start=1):
-        yield RankedChoice(
-            rank,
-            sign * emitted.sum,
-            instance=instance,
-            hat_mask=emitted.combo.mask,
-        )
+    return (
+        RankedChoice(rank, sign * emitted.sum, instance=instance, hat_mask=emitted.combo.mask)
+        for rank, emitted in enumerate(init(instance), start=1)
+    )
 
 
 def top_k(
@@ -494,10 +487,11 @@ def top_k(
     Sums come out non-decreasing for MIN and non-increasing for MAX. If k
     exceeds 2^N the full enumeration (all 2^N results) is returned.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+    # numpy integers register as numbers.Integral; bool is one too
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
     # islice takes at most sys.maxsize; no enumeration gets that far
-    return list(islice(iter_top(pairs, direction), min(k, sys.maxsize)))
+    return list(islice(iter_top(pairs, direction), min(int(k), sys.maxsize)))
 
 
 def pending_size(state: EnumerationState) -> int:

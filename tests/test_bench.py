@@ -172,3 +172,15 @@ class TestCsv:
         assert lines[0] == ",".join(CSV_HEADER)
         assert lines[1].startswith("100,1,10,")
         assert len(lines) == 3
+
+    def test_elapsed_written_with_repr(self):
+        rows = [BenchRecord(n=5, k=k, pending_size=2, elapsed_s=t, trial=0, seed=7)
+                for k, t in ((1, 0.1), (2, 1 / 3), (3, 1e-7), (4, 0.0))]
+        out = io.StringIO()
+        write_csv(rows, out)
+        assert out.getvalue().splitlines()[1:] == [
+            "5,1,2,0.1,0,7",
+            "5,2,2,0.3333333333333333,0,7",
+            "5,3,2,1e-07,0,7",
+            "5,4,2,0.0,0,7",
+        ]

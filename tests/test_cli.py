@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pairsums import cli
+from pairsums.bench import BenchConfig
 from pairsums.cli import ParseError, build_parser, main, read_pairs
 
 PAIRS_CSV = "1,5\n2,3\n0,4\n"
@@ -310,6 +312,21 @@ class TestBenchCommand:
         out = proc.stdout.splitlines()
         assert QUAD_HEADER in out
         assert LINE_HEADER in out
+
+    def test_unwritable_output_fails_before_the_campaign(self, tmp_path, monkeypatch, capsys):
+        def no_campaign(config):
+            raise AssertionError("run_bench ran")
+
+        monkeypatch.setattr(cli, "run_bench", no_campaign)
+        dest = tmp_path / "no" / "such" / "bench.csv"
+        assert main(["bench", "--output", str(dest)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_defaults_are_bench_config_defaults(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_bench", lambda config: seen.append(config) or [])
+        assert main(["bench"]) == 0
+        assert seen == [BenchConfig()]
 
     def test_bad_sample_count_is_usage_error(self, capsys):
         assert main(["bench", "--n", "5", "--k-max", "4", "--samples", "9"]) == 2

@@ -2,6 +2,7 @@ import heapq
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,19 @@ class TestAdvance:
         sums = [sc.sum for sc in init(instance)]
         assert sums == [3, 4, 7, 7, 8, 8, 11, 12]
 
+    def test_init_holds_no_per_n_state(self):
+        # the state reads gaps from delta in place; a copy of N = 200,000
+        # gaps would take megabytes
+        inst = normalize(np.random.default_rng(5).random((200_000, 2)))
+        tracemalloc.start()
+        try:
+            state = init(inst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        assert state.advance().sum == inst.s1
+
 
 class TestDenormalize:
     def test_identity_instance(self):
@@ -393,6 +407,17 @@ class TestTopK:
     def test_k_bool_rejected(self):
         with pytest.raises(InvalidK):
             top_k(PAIRS, True)
+
+    @pytest.mark.parametrize("k", [np.int64(3), np.uint8(3)])
+    def test_numpy_integer_k(self, k):
+        assert [r.sum for r in top_k(PAIRS, k)] == [3, 4, 7]
+
+    @pytest.mark.parametrize(
+        "pairs, error", [([], EmptyInput), ([(math.nan, 1.0)], NonFiniteInput)]
+    )
+    def test_iter_top_rejects_bad_input_at_the_call(self, pairs, error):
+        with pytest.raises(error):
+            iter_top(pairs)
 
     def test_iter_top_streams_lazily(self):
         it = iter_top(PAIRS, Direction.MIN)
