@@ -8,23 +8,27 @@ Input files hold one number pair per line as "a,b" (an optional header
 line is detected by a non-numeric first token), or JSON of the form
 {"pairs": [[a, b], ...]}. The decode input uses the same shape with one
 confidence pair per bit. ``read_pairs`` parses either into one (N, 2)
-float64 array, which the engine takes without another conversion.
+float64 array, which the engine takes without another conversion. A
+leading UTF-8 byte-order mark is ignored.
 
-The argument parser is built once per process and reused by every
-``main`` call; parsing keeps no state in it.
+Each subcommand writes into its destination, opened once. ``topk`` writes
+each row as it is formatted, so memory does not grow with k; a reader
+that stops early (``| head``) ends the run with exit 0. The argument
+parser is built once per process and reused by every ``main`` call;
+parsing keeps no state in it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
-import io
 import json
 import sys
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -78,7 +82,7 @@ def read_pairs(path: str) -> np.ndarray:
     NonFiniteInput.
     """
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     is_json = text.lstrip().startswith("{")
@@ -137,40 +141,37 @@ def _raise_first_bad_row(path: str, rows: list, is_json: bool) -> None:
             raise ParseError(f"{path}: row {idx}: non-numeric value in {tokens!r}")
 
 
-def _emit(path: str, text: str) -> None:
+def _output(path: str):
+    """The destination as a context manager: stdout for "-", else the file truncated."""
     if path == "-":
-        sys.stdout.write(text)
-        return
-    with open(path, "w") as out:
-        out.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
-def _format_topk(results, fmt: str) -> str:
+def _format_topk(results, fmt: str) -> Iterator[str]:
     if fmt == "csv":
-        lines = ["rank,sum,selection"]
-        lines += [f"{r.rank},{r.sum:.17g},{r.selection_str()}" for r in results]
-        return "\n".join(lines) + "\n"
-    if fmt == "json":
-        return (
-            json.dumps(
-                [
-                    {"rank": r.rank, "sum": r.sum, "selection": r.selection_str()}
-                    for r in results
-                ],
-                indent=2,
-            )
-            + "\n"
-        )
-    width = max(len(str(r.sum)) for r in results)
-    lines = [f"{'rank':>6}  {'sum':>{width}}  selection"]
-    lines += [f"{r.rank:>6}  {str(r.sum):>{width}}  {r.selection_str()}" for r in results]
-    return "\n".join(lines) + "\n"
+        yield "rank,sum,selection\n"
+        for r in results:
+            yield f"{r.rank},{r.sum:.17g},{r.selection_str()}\n"
+    elif fmt == "json":
+        # json.dumps(rows, indent=2) bytes: ints, finite float reprs and 0/1 need no escaping
+        sep = "[\n"
+        for r in results:
+            yield (f'{sep}  {{\n    "rank": {r.rank},\n    "sum": {r.sum!r},\n'
+                   f'    "selection": "{r.selection_str()}"\n  }}')
+            sep = ",\n"
+        yield "\n]\n"
+    else:
+        width = max(len(str(r.sum)) for r in results)
+        yield f"{'rank':>6}  {'sum':>{width}}  selection\n"
+        for r in results:
+            yield f"{r.rank:>6}  {str(r.sum):>{width}}  {r.selection_str()}\n"
 
 
 def cmd_topk(args) -> int:
-    pairs = read_pairs(args.input)
-    results = top_k(pairs, args.k, Direction(args.direction))
-    _emit(args.output, _format_topk(results, args.format))
+    results = top_k(read_pairs(args.input), args.k, Direction(args.direction))
+    with _output(args.output) as out:
+        out.writelines(_format_topk(results, args.format))
     return EXIT_OK
 
 
@@ -200,7 +201,8 @@ def cmd_decode(args) -> int:
     result = decode_best(
         confidences, Checksum(args.checksum), max_candidates=args.max_candidates
     )
-    _emit(args.output, _format_decode(result, args.format))
+    with _output(args.output) as out:
+        out.write(_format_decode(result, args.format))
     return EXIT_OK if result.found else EXIT_NOT_FOUND
 
 
@@ -212,12 +214,9 @@ def cmd_bench(args) -> int:
         seed=args.seed,
         trials=args.trials,
     )
-    if args.output != "-":
-        open(args.output, "a").close()  # fail before the campaign, not after it
-    records = run_bench(config)
-    buf = io.StringIO()
-    write_csv(records, buf)
-    _emit(args.output, buf.getvalue())
+    with _output(args.output) as out:  # opened first: a bad path fails before the campaign
+        records = run_bench(config)
+        write_csv(records, out)
     if args.fit:
         by_n = [(n, [r for r in records if r.n == n]) for n in config.n_values]
         blocks = (
@@ -290,6 +289,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:  # the reader stopped early, as `| head` does
+        return EXIT_OK
     except NonFiniteInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONFINITE

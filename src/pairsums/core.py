@@ -192,7 +192,8 @@ class ScoredCombination(NamedTuple):
 def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemInstance:
     """Turn raw pairs into a sorted-gap problem instance.
 
-    Applies the direction transform first (MAX negates every value), then
+    ``direction`` may also be its value, "min" or "max". Applies the
+    direction transform first (MAX negates every value), then
     orders each pair componentwise (recording flips), then stable-sorts the
     gaps ascending (recording the permutation).
 
@@ -212,7 +213,7 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
         raise ValueError(f"expected shape (N, 2), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteInput()
-    if direction is Direction.MAX:
+    if Direction(direction) is Direction.MAX:
         arr = -arr
 
     flipped = arr[:, 0] > arr[:, 1]
@@ -426,10 +427,10 @@ def denormalize(instance: ProblemInstance, combo: Combination) -> Combination:
 class RankedChoice:
     """One emitted result: 1-based rank, sum, and selection bits.
 
-    Sums are reported on the original scale (un-negated for MAX). The
-    selection vector is materialized lazily when it was produced by the
-    enumerator, so ranking at very large N does not pay for untouched
-    selections.
+    Sums are reported on the original scale (un-negated for MAX). A result
+    from the enumerator keeps only its hat mask and computes the selection
+    vector on every access without storing it, so a list of results holds
+    O(K) data at any N and untouched selections cost nothing.
     """
 
     __slots__ = ("rank", "sum", "_selection", "_instance", "_hat_mask")
@@ -452,10 +453,10 @@ class RankedChoice:
 
     @property
     def selection(self) -> Combination:
-        if self._selection is None:
-            inst = self._instance
-            self._selection = denormalize(inst, Combination(inst.n, self._hat_mask))
-        return self._selection
+        if self._selection is not None:
+            return self._selection
+        inst = self._instance
+        return denormalize(inst, Combination(inst.n, self._hat_mask))
 
     def selection_bits(self) -> list[int]:
         return self.selection.to_bits()
@@ -471,6 +472,7 @@ def iter_top(
     pairs: PairList, direction: Direction = Direction.MIN
 ) -> Iterator[RankedChoice]:
     """Stream RankedChoice results best-first; bad input raises at the call."""
+    direction = Direction(direction)
     instance = normalize(pairs, direction)
     sign = -1.0 if direction is Direction.MAX else 1.0
     return (

@@ -171,17 +171,17 @@ def decode_best(
 
     ``confidences`` holds one (conf0, conf1) pair per position; candidate
     bit j selects which confidence contributes at position j. ``checksum``
-    is a Checksum kind or any predicate over candidate bit lists. Stops
-    after ``max_candidates`` tries or when all 2^N candidates are
-    exhausted, reporting failure with the count tested.
+    is a Checksum kind, its value (such as "crc8") or any predicate over
+    candidate bit lists. Stops after ``max_candidates`` tries or when all
+    2^N candidates are exhausted, reporting failure with the count tested.
     """
     if max_candidates < 1:
         raise ValueError("max_candidates must be >= 1")
     instance = normalize(confidences, Direction.MAX)
-    if isinstance(checksum, Checksum):
-        accept = _hat_acceptor(checksum, instance)
-    else:
+    if callable(checksum):
         accept = lambda combo: checksum(denormalize(instance, combo).to_bits())
+    else:  # a kind or its value, such as "crc8"; an unknown value raises here
+        accept = _hat_acceptor(Checksum(checksum), instance)
     # islice takes at most sys.maxsize; no walk gets that far
     candidates = islice(init(instance), min(max_candidates, sys.maxsize))
     for tested, emitted in enumerate(candidates, start=1):

@@ -47,6 +47,7 @@ def brute_force_top_k(
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidK(f"k must be a positive integer, got {k!r}")
+    direction = Direction(direction)
     arr = np.asarray(pairs, dtype=float)
     if arr.size == 0:
         raise ValueError("need at least one pair")

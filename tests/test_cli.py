@@ -1,7 +1,9 @@
+import errno
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +34,24 @@ def pairs_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def wide_pairs_file(tmp_path_factory):
+    """5000 pairs: each selection is 5000 characters, so 1600 rows are 8 MB."""
+    path = tmp_path_factory.mktemp("wide") / "pairs.csv"
+    pairs = np.random.default_rng(3).random((5000, 2)).tolist()
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in pairs))
+    return str(path)
+
+
+class ClosedPipe:
+    """Stand-in stdout whose reader has gone away, as after `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    writelines = write
+
+
 @pytest.fixture
 def conf_file(tmp_path):
     path = tmp_path / "conf.csv"
@@ -42,6 +62,18 @@ def conf_file(tmp_path):
 class TestReadPairs:
     def test_plain_csv(self, pairs_file):
         assert_pairs(read_pairs(pairs_file), [(1, 5), (2, 3), (0, 4)])
+
+    @pytest.mark.parametrize("text", [PAIRS_CSV, '{"pairs": [[1, 5], [2, 3], [0, 4]]}'])
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys, text):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes("\ufeff".encode("utf-8") + text.encode("utf-8"))
+        assert_pairs(read_pairs(str(marked)), [(1, 5), (2, 3), (0, 4)])
+        outputs = []
+        for path in (plain, marked):
+            assert main(["topk", "--input", str(path), "--k", "8", "--format", "csv"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
 
     def test_header_skipped(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -207,6 +239,29 @@ class TestTopkCommand:
         path = tmp_path / "nan.csv"
         path.write_text("1,nan\n")
         assert main(["topk", "--input", str(path), "--k", "1"]) == 3
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_memory_does_not_grow_with_k(self, wide_pairs_file, tmp_path, fmt):
+        dest = tmp_path / "out"
+        peaks = []
+        for k in (100, 1600):
+            tracemalloc.start()
+            try:
+                assert main(["topk", "--input", wide_pairs_file, "--k", str(k),
+                             "--format", fmt, "--output", str(dest)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert dest.stat().st_size > 8_000_000
+        assert peaks[1] - peaks[0] < 1_000_000
+
+    def test_reader_that_stops_early_exits_zero(self, pairs_file, conf_file, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        for fmt in ("table", "csv", "json"):
+            assert main(["topk", "--input", pairs_file, "--k", "8", "--format", fmt]) == 0
+        assert main(["decode", "--input", conf_file]) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestDecodeCommand:

@@ -419,6 +419,27 @@ class TestTopK:
         with pytest.raises(error):
             iter_top(pairs)
 
+    def test_selection_is_not_stored(self):
+        results = top_k(np.random.default_rng(4).random((5000, 2)), 1000)
+        tracemalloc.start()
+        try:
+            for r in results:
+                r.selection_str()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000  # 1000 stored 5000-bit selections hold about 750 KB
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_direction_value_ranks_like_the_enum(self, direction):
+        want = [(r.sum, r.selection_str()) for r in top_k(PAIRS, 8, direction)]
+        assert [(r.sum, r.selection_str()) for r in top_k(PAIRS, 8, direction.value)] == want
+
+    def test_unknown_direction_raises_at_the_call(self):
+        for rank in (normalize, iter_top, lambda pairs, d: top_k(pairs, 1, d)):
+            with pytest.raises(ValueError, match="'up' is not a valid Direction"):
+                rank(PAIRS, "up")
+
     def test_iter_top_streams_lazily(self):
         it = iter_top(PAIRS, Direction.MIN)
         assert next(it).sum == 3

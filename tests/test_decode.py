@@ -106,6 +106,15 @@ class TestDecodeBest:
         assert result.confidence == pytest.approx(2.1)
         assert result.candidates_tested == 2
 
+    @pytest.mark.parametrize("kind", list(Checksum))
+    def test_checksum_value_decodes_like_the_kind(self, kind):
+        conf = np.random.default_rng(8).random((12, 2)).tolist()
+        assert decode_best(conf, kind.value, 50) == decode_best(conf, kind, 50)
+
+    def test_unknown_checksum_raises_at_the_call(self):
+        with pytest.raises(ValueError, match="'crc9' is not a valid Checksum"):
+            decode_best(CONF3, "crc9")
+
     def test_ties_break_toward_zero(self):
         result = decode_best([(0.5, 0.5), (0.3, 0.7)], Checksum.NONE)
         assert result.bits == "01"

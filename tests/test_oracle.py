@@ -47,6 +47,16 @@ def test_too_large_guard():
         brute_force_top_k(pairs, 1, Direction.MIN)
 
 
+def test_direction_value_ranks_like_the_enum():
+    got = brute_force_top_k(PAIRS, 8, "max")
+    want = brute_force_top_k(PAIRS, 8, Direction.MAX)
+    assert [(r.sum, r.selection_str()) for r in got] == [
+        (r.sum, r.selection_str()) for r in want
+    ]
+    with pytest.raises(ValueError):
+        brute_force_top_k(PAIRS, 1, "up")
+
+
 def test_k_zero_rejected():
     with pytest.raises(InvalidK):
         brute_force_top_k(PAIRS, 0, Direction.MIN)

@@ -5,6 +5,10 @@ returned a list of tuples. For every generated file the array parser must
 give the same values (compared as bytes) or the same ParseError message.
 The one intended difference: a JSON integer too large for a float made
 the row loop raise OverflowError, and ``read_pairs`` raises NonFiniteInput.
+
+``reference_format_topk`` is likewise the ``topk`` formatter as it was when
+it returned the whole output as one string; ``main`` now writes rows as it
+formats them and must write the same bytes.
 """
 
 import json
@@ -15,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairsums.cli import ParseError, _format_topk, main, read_pairs
+from pairsums.cli import ParseError, main, read_pairs
 from pairsums.core import Direction, NonFiniteInput, top_k
 
 
@@ -55,6 +59,29 @@ def reference_read_pairs(path: str) -> list[tuple[float, float]]:
     if not pairs:
         raise ParseError(f"{path}: no data rows")
     return pairs
+
+
+def reference_format_topk(results, fmt: str) -> str:
+    """Frozen one-string formatter; do not edit."""
+    if fmt == "csv":
+        lines = ["rank,sum,selection"]
+        lines += [f"{r.rank},{r.sum:.17g},{r.selection_str()}" for r in results]
+        return "\n".join(lines) + "\n"
+    if fmt == "json":
+        return (
+            json.dumps(
+                [
+                    {"rank": r.rank, "sum": r.sum, "selection": r.selection_str()}
+                    for r in results
+                ],
+                indent=2,
+            )
+            + "\n"
+        )
+    width = max(len(str(r.sum)) for r in results)
+    lines = [f"{'rank':>6}  {'sum':>{width}}  selection"]
+    lines += [f"{r.rank:>6}  {str(r.sum):>{width}}  {r.selection_str()}" for r in results]
+    return "\n".join(lines) + "\n"
 
 
 def outcome(fn, path):
@@ -205,20 +232,34 @@ def test_missing_file_matches_row_loop(tmp_path):
 # -- end to end -----------------------------------------------------------
 
 
+PAIR_SETS = {
+    "uniform": [tuple(row) for row in np.random.default_rng(11).random((2000, 2)).tolist()],
+    # MAX reports -0.0 sums; the table width and the JSON text must keep the sign
+    "zeros": [(-0.0, 1.0), (0.0, -1.0), (-0.0, -0.0)],
+    # sums whose repr has an exponent: |sum| >= 1e16 and |sum| <= 1e-5
+    "huge": [(1e17, -3e-6), (2.5e-6, -4e20), (7e-7, 1.25e16)],
+    "tiny": [(1e-6, 3e-6), (2e-7, -5e-6), (-4e-7, 1e-8)],
+}
+
+
 @pytest.mark.parametrize("in_fmt", ["csv", "json"])
 @pytest.mark.parametrize("direction", ["min", "max"])
 def test_main_output_matches_list_input(tmp_path, capsys, in_fmt, direction):
-    pairs = [tuple(row) for row in np.random.default_rng(11).random((2000, 2)).tolist()]
-    src = tmp_path / f"pairs.{in_fmt}"
-    if in_fmt == "json":
-        src.write_text(json.dumps({"pairs": pairs}))
-    else:
-        src.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs))
-    results = top_k(pairs, 50, Direction(direction))
-    for out_fmt in ("table", "csv", "json"):
-        dest = tmp_path / f"out.{out_fmt}"
-        argv = ["topk", "--input", str(src), "--k", "50", "--direction", direction,
-                "--format", out_fmt, "--output", str(dest)]
-        assert main(argv) == 0
-        assert dest.read_bytes() == _format_topk(results, out_fmt).encode()
-    assert capsys.readouterr().err == ""
+    for name, pairs in PAIR_SETS.items():
+        src = tmp_path / f"{name}.{in_fmt}"
+        if in_fmt == "json":
+            src.write_text(json.dumps({"pairs": pairs}))
+        else:
+            src.write_text("a,b\n" + "".join(f"{a!r},{b!r}\n" for a, b in pairs))
+        results = top_k(pairs, 50, Direction(direction))
+        for out_fmt in ("table", "csv", "json"):
+            want = reference_format_topk(results, out_fmt)
+            dest = tmp_path / f"out.{out_fmt}"
+            argv = ["topk", "--input", str(src), "--k", "50", "--direction", direction,
+                    "--format", out_fmt, "--output"]
+            assert main(argv + [str(dest)]) == 0
+            assert dest.read_bytes() == want.encode()
+            assert main(argv + ["-"]) == 0
+            captured = capsys.readouterr()
+            assert captured.out == want
+            assert captured.err == ""
