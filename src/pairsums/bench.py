@@ -41,7 +41,8 @@ class BenchConfig:
 
     ``k_checkpoints`` overrides the default log-spaced grid of
     ``k_samples`` points; either way checkpoints are clipped to
-    min(k_max, 2^n) per n.
+    min(k_max, 2^n) per n. A bad field, or an explicit list that clips to
+    nothing for some n, raises ValueError at construction.
     """
 
     n_values: Sequence[int] = (15, 100, 1000)
@@ -58,6 +59,10 @@ class BenchConfig:
             raise ValueError("need k_max >= k_samples >= 2")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        for n in self.n_values:  # raises here, before a caller opens its output
+            checkpoints_for(self, n)
 
 
 @dataclass(frozen=True)

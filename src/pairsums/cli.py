@@ -40,7 +40,7 @@ from .bench import (
     run_bench,
     write_csv,
 )
-from .core import Direction, NonFiniteInput, top_k
+from .core import NonFiniteInput, top_k
 from .decode import DEFAULT_MAX_CANDIDATES, Checksum, decode_best
 
 EXIT_OK = 0
@@ -169,7 +169,7 @@ def _format_topk(results, fmt: str) -> Iterator[str]:
 
 
 def cmd_topk(args) -> int:
-    results = top_k(read_pairs(args.input), args.k, Direction(args.direction))
+    results = top_k(read_pairs(args.input), args.k, args.direction)
     with _output(args.output) as out:
         out.writelines(_format_topk(results, args.format))
     return EXIT_OK
@@ -198,9 +198,7 @@ def _format_decode(result, fmt: str) -> str:
 
 def cmd_decode(args) -> int:
     confidences = read_pairs(args.input)
-    result = decode_best(
-        confidences, Checksum(args.checksum), max_candidates=args.max_candidates
-    )
+    result = decode_best(confidences, args.checksum, max_candidates=args.max_candidates)
     with _output(args.output) as out:
         out.write(_format_decode(result, args.format))
     return EXIT_OK if result.found else EXIT_NOT_FOUND

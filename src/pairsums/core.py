@@ -65,7 +65,7 @@ class LengthMismatch(ValueError):
 
 
 class InvalidK(ValueError):
-    """k must be a positive integer."""
+    """A count (k or a candidate budget) must be a positive integer."""
 
 
 class IndexOutOfRange(IndexError):
@@ -189,6 +189,28 @@ class ScoredCombination(NamedTuple):
     sum: float
 
 
+def _positive_count(value, name: str) -> int:
+    """An integer >= 1 (numpy's too, not bool) as an int; anything else raises InvalidK."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+        raise InvalidK(f"{name} must be a positive integer, got {value!r}")
+    return min(int(value), sys.maxsize)  # islice's cap; no enumeration gets that far
+
+
+def _pairs_array(pairs: PairList) -> np.ndarray:
+    """Pairs as a finite (N, 2) float array, N >= 1; ``normalize`` lists the errors."""
+    try:
+        arr = np.asarray(pairs, dtype=float)
+    except OverflowError:
+        raise NonFiniteInput() from None
+    if arr.size == 0:
+        raise EmptyInput("need at least one pair")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"expected shape (N, 2), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput()
+    return arr
+
+
 def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemInstance:
     """Turn raw pairs into a sorted-gap problem instance.
 
@@ -203,16 +225,7 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     do not depend on input order, and every one of the 2^N sums lies
     within them, so every sum is finite. Raises EmptyInput on zero pairs.
     """
-    try:
-        arr = np.asarray(pairs, dtype=float)
-    except OverflowError:
-        raise NonFiniteInput() from None
-    if arr.size == 0:
-        raise EmptyInput("need at least one pair")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected shape (N, 2), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise NonFiniteInput()
+    arr = _pairs_array(pairs)
     if Direction(direction) is Direction.MAX:
         arr = -arr
 
@@ -489,11 +502,8 @@ def top_k(
     Sums come out non-decreasing for MIN and non-increasing for MAX. If k
     exceeds 2^N the full enumeration (all 2^N results) is returned.
     """
-    # numpy integers register as numbers.Integral; bool is one too
-    if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
-        raise InvalidK(f"k must be a positive integer, got {k!r}")
-    # islice takes at most sys.maxsize; no enumeration gets that far
-    return list(islice(iter_top(pairs, direction), min(int(k), sys.maxsize)))
+    k = _positive_count(k, "k")  # before iter_top, so a bad k is reported first
+    return list(islice(iter_top(pairs, direction), k))
 
 
 def pending_size(state: EnumerationState) -> int:

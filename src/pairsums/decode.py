@@ -26,12 +26,12 @@ candidate. Results are identical either way.
 from __future__ import annotations
 
 import enum
-import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import Combination, Direction, ProblemInstance, denormalize, init, normalize
+from .core import _positive_count
 
 CRC8_POLY = 0x07
 # _CRC8_STEP[r]: register r after one shift with a zero bit fed in
@@ -62,30 +62,29 @@ def bytes_to_bits(data: bytes) -> list[int]:
     return [(byte >> (7 - t)) & 1 for byte in data for t in range(8)]
 
 
-def make_validator(kind: Checksum, n: int) -> Callable[[Sequence[int]], bool]:
-    """Predicate over candidate bit lists for the given checksum kind.
+def make_validator(kind: Union[Checksum, str], n: int) -> Callable[[Sequence[int]], bool]:
+    """Predicate over candidate bit lists for a checksum kind or its value ("crc8").
 
-    Raises ValueError when the string shape cannot carry the checksum
-    (CRC8 needs more message bits than the 8 checksum bits).
+    Raises ValueError for any other value, and when the string shape cannot
+    carry the checksum (CRC8 needs more message bits than the 8 checksum bits).
     """
+    kind = Checksum(kind)
     if n < 1:
         raise ValueError("need at least one bit")
     if kind is Checksum.NONE:
         return lambda bits: True
     if kind is Checksum.PARITY_EVEN:
         return lambda bits: sum(bits) % 2 == 0
-    if kind is Checksum.CRC8:
-        if n <= 8:
-            raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
+    if n <= 8:  # Checksum.CRC8
+        raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
 
-        def crc_ok(bits: Sequence[int]) -> bool:
-            stored = 0
-            for b in bits[-8:]:
-                stored = (stored << 1) | (b & 1)
-            return crc8(bits[:-8]) == stored
+    def crc_ok(bits: Sequence[int]) -> bool:
+        stored = 0
+        for b in bits[-8:]:
+            stored = (stored << 1) | (b & 1)
+        return crc8(bits[:-8]) == stored
 
-        return crc_ok
-    raise ValueError(f"unknown checksum kind: {kind!r}")
+    return crc_ok
 
 
 def crc8_syndromes(n: int) -> list[int]:
@@ -173,18 +172,16 @@ def decode_best(
     bit j selects which confidence contributes at position j. ``checksum``
     is a Checksum kind, its value (such as "crc8") or any predicate over
     candidate bit lists. Stops after ``max_candidates`` tries or when all
-    2^N candidates are exhausted, reporting failure with the count tested.
+    2^N candidates are exhausted, reporting failure with the count tested;
+    a budget that is not an integer >= 1 (numpy too, not bool) raises InvalidK.
     """
-    if max_candidates < 1:
-        raise ValueError("max_candidates must be >= 1")
+    budget = _positive_count(max_candidates, "max_candidates")
     instance = normalize(confidences, Direction.MAX)
     if callable(checksum):
         accept = lambda combo: checksum(denormalize(instance, combo).to_bits())
     else:  # a kind or its value, such as "crc8"; an unknown value raises here
         accept = _hat_acceptor(Checksum(checksum), instance)
-    # islice takes at most sys.maxsize; no walk gets that far
-    candidates = islice(init(instance), min(max_candidates, sys.maxsize))
-    for tested, emitted in enumerate(candidates, start=1):
+    for tested, emitted in enumerate(islice(init(instance), budget), start=1):
         if accept(emitted.combo):
             return DecodeResult(
                 found=True,

@@ -1,7 +1,7 @@
 """Exhaustive reference ranking, used as ground truth in tests.
 
-Enumerates all 2^N sums with vectorized from-scratch arithmetic (fully
-independent of the incremental best-first path in ``core``), sorts them,
+Enumerates all 2^N sums with vectorized from-scratch arithmetic (it shares
+only the input checks with the best-first path in ``core``), sorts them,
 and returns the first k. Deliberately naive: capped at N <= 24, where the
 full table still fits in memory and desk-scale time.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Combination, Direction, InvalidK, RankedChoice
+from .core import Combination, Direction, RankedChoice, _pairs_array, _positive_count
 
 
 class TooLarge(ValueError):
@@ -43,18 +43,12 @@ def brute_force_top_k(
     """The k best selections by exhaustive enumeration and sorting.
 
     Ties in the sum are ordered by lexicographic selection bits (position 1
-    read first) so the output is deterministic. Raises TooLarge for N > 24.
+    read first) so the output is deterministic. Bad input raises what
+    ``top_k`` raises (InvalidK, EmptyInput, NonFiniteInput); N > 24, TooLarge.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidK(f"k must be a positive integer, got {k!r}")
+    k = _positive_count(k, "k")
     direction = Direction(direction)
-    arr = np.asarray(pairs, dtype=float)
-    if arr.size == 0:
-        raise ValueError("need at least one pair")
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"expected shape (N, 2), got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("pairs must be finite")
+    arr = _pairs_array(pairs)
     n = arr.shape[0]
     if n > MAX_N:
         raise TooLarge(f"N={n} exceeds the exhaustive cap of {MAX_N}")

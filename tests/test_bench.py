@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             BenchConfig(trials=0)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            BenchConfig(seed=-1)
+
+    def test_rejects_checkpoints_that_clip_to_nothing(self):
+        with pytest.raises(ValueError, match="no checkpoints left after clipping"):
+            BenchConfig(n_values=(15,), k_max=100, k_samples=5, k_checkpoints=(500,))
+
 
 class TestCheckpoints:
     def test_log_spaced_and_unique(self):

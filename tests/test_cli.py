@@ -383,5 +383,15 @@ class TestBenchCommand:
         assert main(["bench"]) == 0
         assert seen == [BenchConfig()]
 
+    def test_bad_seed_leaves_output_untouched(self, tmp_path, capsys):
+        dest = tmp_path / "keep.csv"
+        dest.write_text("n,k,pending_size,elapsed_s,trial,seed\n15,1,1,0.0,0,42\n")
+        before = dest.read_bytes()
+        code = main(["bench", "--n", "15", "--k-max", "100", "--samples", "5",
+                     "--seed", "-1", "--output", str(dest)])
+        assert code == 2
+        assert dest.read_bytes() == before
+        assert "seed" in capsys.readouterr().err
+
     def test_bad_sample_count_is_usage_error(self, capsys):
         assert main(["bench", "--n", "5", "--k-max", "4", "--samples", "9"]) == 2

@@ -28,6 +28,7 @@ from pairsums.core import (
     successors,
     top_k,
 )
+from pairsums.oracle import brute_force_top_k
 
 PAIRS = [(1, 5), (2, 3), (0, 4)]  # gaps 4, 1, 4
 
@@ -411,6 +412,7 @@ class TestTopK:
     @pytest.mark.parametrize("k", [np.int64(3), np.uint8(3)])
     def test_numpy_integer_k(self, k):
         assert [r.sum for r in top_k(PAIRS, k)] == [3, 4, 7]
+        assert [r.sum for r in brute_force_top_k(PAIRS, k)] == [3, 4, 7]
 
     @pytest.mark.parametrize(
         "pairs, error", [([], EmptyInput), ([(math.nan, 1.0)], NonFiniteInput)]

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairsums import decode
-from pairsums.core import Direction, NonFiniteInput, normalize
+from pairsums.core import Direction, InvalidK, NonFiniteInput, normalize
 from pairsums.decode import (
     Checksum,
     DecodeResult,
@@ -71,6 +71,24 @@ class TestValidators:
         with pytest.raises(ValueError):
             make_validator(Checksum.NONE, 0)
 
+    @pytest.mark.parametrize("kind", list(Checksum))
+    def test_value_validates_like_the_kind(self, kind):
+        # every 8-bit message with its CRC, then with one bit of it flipped
+        words = []
+        for message in range(256):
+            bits = bytes_to_bits(bytes([message, crc8(bytes_to_bits(bytes([message])))]))
+            flipped = bits[:]
+            flipped[message % 16] ^= 1
+            words += [bits, flipped]
+        by_value, by_kind = make_validator(kind.value, 16), make_validator(kind, 16)
+        verdicts = [by_kind(w) for w in words]
+        assert [by_value(w) for w in words] == verdicts
+        assert kind is Checksum.NONE or verdicts.count(True) == len(words) // 2
+
+    def test_unknown_value_rejected(self):
+        with pytest.raises(ValueError, match="'crc9' is not a valid Checksum"):
+            make_validator("crc9", 16)
+
 
 class TestDecodeBest:
     def test_integer_beyond_float_range_is_non_finite(self):
@@ -110,6 +128,15 @@ class TestDecodeBest:
     def test_checksum_value_decodes_like_the_kind(self, kind):
         conf = np.random.default_rng(8).random((12, 2)).tolist()
         assert decode_best(conf, kind.value, 50) == decode_best(conf, kind, 50)
+
+    @pytest.mark.parametrize("budget", [0, True, 600.0, "600"])
+    def test_budget_must_be_a_positive_integer(self, budget):
+        with pytest.raises(InvalidK, match="max_candidates must be a positive integer"):
+            decode_best(CONF3, Checksum.PARITY_EVEN, budget)
+
+    @pytest.mark.parametrize("budget", [np.int64(2), np.uint8(2)])
+    def test_numpy_integer_budget(self, budget):
+        assert decode_best(CONF3, Checksum.PARITY_EVEN, budget).rank == 2
 
     def test_unknown_checksum_raises_at_the_call(self):
         with pytest.raises(ValueError, match="'crc9' is not a valid Checksum"):

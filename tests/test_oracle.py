@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from pairsums.core import Direction, InvalidK, top_k
+from pairsums.core import Direction, EmptyInput, InvalidK, NonFiniteInput, top_k
 from pairsums.oracle import MAX_N, TooLarge, brute_force_top_k
 
 PAIRS = [(1, 5), (2, 3), (0, 4)]
@@ -60,6 +62,16 @@ def test_direction_value_ranks_like_the_enum():
 def test_k_zero_rejected():
     with pytest.raises(InvalidK):
         brute_force_top_k(PAIRS, 0, Direction.MIN)
+
+
+@pytest.mark.parametrize(
+    "pairs, error",
+    [([(10**400, 1)], NonFiniteInput), ([(math.nan, 1.0)], NonFiniteInput), ([], EmptyInput)],
+)
+def test_bad_pairs_raise_the_engine_errors(pairs, error):
+    for rank in (top_k, brute_force_top_k):
+        with pytest.raises(error):
+            rank(pairs, 1)
 
 
 def test_tie_handling():
