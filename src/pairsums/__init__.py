@@ -18,7 +18,6 @@ from .core import (
     iter_top,
     lex_less,
     normalize,
-    pending_size,
     score,
     shift,
     successors,
@@ -46,7 +45,6 @@ __all__ = [
     "iter_top",
     "lex_less",
     "normalize",
-    "pending_size",
     "score",
     "shift",
     "successors",

@@ -3,9 +3,10 @@
 Samples uniform random pair sets, runs the enumerator to a K budget while
 recording the frontier size |P| and the cumulative process time at a grid
 of K checkpoints, fits a second-degree polynomial to the time curve and a
-line to the frontier size. CPU process time is used rather than wall
-clock, and each timed run is preceded by a short untimed warm-up pass so
-allocator and cache startup noise stays out of the measurement.
+line to the frontier size over K >= max K / 10. CPU process time is used
+rather than wall clock, and each timed run is preceded by a short untimed
+warm-up pass so allocator and cache startup noise stays out of the
+measurement.
 
 ``pairsums bench`` is the command-line entry point: it writes the CSV and,
 with ``--fit``, prints both fits per n.
@@ -55,6 +56,8 @@ class BenchConfig:
     def __post_init__(self):
         if not self.n_values or any(n < 1 for n in self.n_values):
             raise ValueError("n_values must be non-empty, all >= 1")
+        if len(set(self.n_values)) != len(self.n_values):
+            raise ValueError(f"n_values must not repeat, got {list(self.n_values)}")
         if not (self.k_max >= self.k_samples >= 2):
             raise ValueError("need k_max >= k_samples >= 2")
         if self.trials < 1:
@@ -137,9 +140,22 @@ class LinearFit(NamedTuple):
     r_squared: float
 
 
-def _polyfit_r2(x, y, degree):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+def _fit(
+    records: Sequence[BenchRecord], column: str, degree: int, k_min: int = 0
+) -> list[float]:
+    """Least-squares fit of ``column`` vs K over the records with K >= k_min.
+
+    The records must share one n; they may pool trials. Returns the
+    coefficients, highest degree first, then R^2. Raises DegenerateFit on
+    no records or too few distinct K, ValueError on mixed n.
+    """
+    if not records:
+        raise DegenerateFit("no records")
+    if len({r.n for r in records}) != 1:  # before the cutoff can drop an n
+        raise ValueError("records must all belong to one n")
+    kept = [r for r in records if r.k >= k_min]
+    x = np.array([r.k for r in kept], dtype=float)
+    y = np.array([getattr(r, column) for r in kept], dtype=float)
     # degree + 1 points fit exactly (R^2 = 1); one more leaves a residual
     distinct = len(np.unique(x))
     if distinct < degree + 2:
@@ -149,34 +165,18 @@ def _polyfit_r2(x, y, degree):
     ss_res = float(resid @ resid)
     ss_tot = float(((y - y.mean()) ** 2).sum())
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return coeffs, r2
+    return [*map(float, coeffs), r2]
 
 
 def fit_quadratic(records: Sequence[BenchRecord]) -> QuadraticFit:
-    """Least-squares degree-2 fit of elapsed time vs K for one n.
-
-    Records may pool several trials but must share n. Returns coefficients
-    (quadratic first) and the coefficient of determination.
-    """
-    if not records:
-        raise DegenerateFit("no records")
-    if len({r.n for r in records}) != 1:
-        raise ValueError("records must all belong to one n")
-    coeffs, r2 = _polyfit_r2([r.k for r in records], [r.elapsed_s for r in records], 2)
-    return QuadraticFit(float(coeffs[0]), float(coeffs[1]), float(coeffs[2]), r2)
+    """Degree-2 fit of elapsed time vs K for one n."""
+    return QuadraticFit(*_fit(records, "elapsed_s", 2))
 
 
-def fit_pending_linear(
-    records: Sequence[BenchRecord], k_min: int = 0
-) -> LinearFit:
-    """Degree-1 fit of frontier size vs K, over checkpoints with k >= k_min."""
-    kept = [r for r in records if r.k >= k_min]
-    if not kept:
-        raise DegenerateFit("no records at or above k_min")
-    if len({r.n for r in kept}) != 1:
-        raise ValueError("records must all belong to one n")
-    coeffs, r2 = _polyfit_r2([r.k for r in kept], [r.pending_size for r in kept], 1)
-    return LinearFit(float(coeffs[0]), float(coeffs[1]), r2)
+def fit_pending_linear(records: Sequence[BenchRecord]) -> LinearFit:
+    """Degree-1 fit of frontier size vs K for one n, over K >= max K // 10."""
+    k_min = max((r.k for r in records), default=0) // 10
+    return LinearFit(*_fit(records, "pending_size", 1, k_min))
 
 
 def write_csv(records: Sequence[BenchRecord], fileobj: io.TextIOBase) -> None:

@@ -40,7 +40,7 @@ from .bench import (
     run_bench,
     write_csv,
 )
-from .core import NonFiniteInput, top_k
+from .core import Direction, NonFiniteInput, top_k
 from .decode import DEFAULT_MAX_CANDIDATES, Checksum, decode_best
 
 EXIT_OK = 0
@@ -219,9 +219,7 @@ def cmd_bench(args) -> int:
         by_n = [(n, [r for r in records if r.n == n]) for n in config.n_values]
         blocks = (
             ("time", "n,c2,c1,c0,r_squared", fit_quadratic),
-            # frontier size over K >= max K / 10
-            ("pending", "n,m1,m0,r_squared",
-             lambda rows: fit_pending_linear(rows, k_min=max(r.k for r in rows) // 10)),
+            ("pending", "n,m1,m0,r_squared", fit_pending_linear),
         )
         for label, header, fit_rows in blocks:
             print(header)
@@ -248,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_topk = sub.add_parser("topk", help="emit the k best choice combinations")
     p_topk.add_argument("--input", required=True, help="CSV or JSON pair file")
     p_topk.add_argument("--k", type=_positive_int, required=True)
-    p_topk.add_argument("--direction", choices=["min", "max"], default="min")
+    p_topk.add_argument("--direction", choices=[d.value for d in Direction], default="min")
     p_topk.add_argument("--format", choices=["table", "csv", "json"], default="table")
     p_topk.add_argument("--output", default="-", help="output path, - for stdout")
     p_topk.set_defaults(func=cmd_topk)

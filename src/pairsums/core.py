@@ -202,6 +202,8 @@ def _pairs_array(pairs: PairList) -> np.ndarray:
         arr = np.asarray(pairs, dtype=float)
     except OverflowError:
         raise NonFiniteInput() from None
+    except TypeError as exc:  # a generator, an iterator, a dict, an object element
+        raise ValueError(f"pairs do not convert to a float array: {exc}") from None
     if arr.size == 0:
         raise EmptyInput("need at least one pair")
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -504,8 +506,3 @@ def top_k(
     """
     k = _positive_count(k, "k")  # before iter_top, so a bad k is reported first
     return list(islice(iter_top(pairs, direction), k))
-
-
-def pending_size(state: EnumerationState) -> int:
-    """Current frontier size |P| of a running enumeration."""
-    return state.pending_size()

@@ -171,7 +171,7 @@ def test_07_frontier_linear_growth(bench_records):
     records, _ = bench_records
     ok = True
     for n in (100, 1000):
-        fit = fit_pending_linear([r for r in records if r.n == n], k_min=10_000)
+        fit = fit_pending_linear([r for r in records if r.n == n])
         ok = ok and fit.r_squared > 0.95
     n15_final = [r for r in records if r.n == 15 and r.k == 32_768]
     ok = ok and len(n15_final) == 1 and n15_final[0].pending_size == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 
@@ -45,6 +46,10 @@ class TestConfig:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             BenchConfig(n_values=(0,))
+
+    def test_rejects_repeated_n(self):
+        with pytest.raises(ValueError, match="n_values must not repeat"):
+            BenchConfig(n_values=(15, 100, 15))
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
@@ -140,7 +145,7 @@ class TestFits:
         with pytest.raises(DegenerateFit, match="at least 4 distinct K values, got 3"):
             fit_quadratic(synthetic((1e-8, 0, 0), [1, 2, 4, 4]))
         with pytest.raises(DegenerateFit, match="at least 3 distinct K values, got 2"):
-            fit_pending_linear(synthetic((1e-8, 0, 0), [1, 2, 400, 800]), k_min=100)
+            fit_pending_linear(synthetic((1e-8, 0, 0), [1, 2, 400, 800]))
         assert fit_quadratic(synthetic((1e-8, 0, 0), [1, 2, 4, 8])).r_squared == pytest.approx(1.0)
         assert fit_pending_linear(synthetic((1e-8, 0, 0), [1, 2, 4])).m1 == pytest.approx(3.0)
 
@@ -150,6 +155,12 @@ class TestFits:
         )
         with pytest.raises(ValueError):
             fit_quadratic(rows)
+        # the frontier-size cutoff (K >= 40) would drop every n=10 row
+        rows = synthetic((1e-8, 0, 0), [1, 2, 4], n=10) + synthetic(
+            (1e-8, 0, 0), [100, 200, 400], n=20
+        )
+        with pytest.raises(ValueError, match="one n"):
+            fit_pending_linear(rows)
 
     def test_pending_linear_recovered(self):
         rows = synthetic((1e-8, 0, 0), [10, 20, 40, 80])
@@ -158,10 +169,16 @@ class TestFits:
         assert fit.m0 == pytest.approx(7.0)
         assert fit.r_squared == pytest.approx(1.0)
 
-    def test_pending_linear_k_min_filters(self):
-        rows = synthetic((1e-8, 0, 0), [1, 2, 400, 800, 1600])
-        fit = fit_pending_linear(rows, k_min=100)
+    def test_pending_linear_fits_k_from_max_k_over_10(self):
+        # max K 1600 puts the cutoff at 160; the rows below it lie off the line
+        rows = [
+            r if r.k >= 160 else dataclasses.replace(r, pending_size=1000)
+            for r in synthetic((1e-8, 0, 0), [1, 2, 159, 160, 800, 1600])
+        ]
+        fit = fit_pending_linear(rows)
         assert fit.m1 == pytest.approx(3.0)
+        assert fit.m0 == pytest.approx(7.0)
+        assert fit.r_squared == pytest.approx(1.0)
 
     def test_real_run_times_fit_quadratic_shape(self):
         config = BenchConfig(n_values=(40,), k_max=4000, k_samples=12, seed=9)

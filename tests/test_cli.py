@@ -323,7 +323,7 @@ class TestBenchCommand:
         assert dest.read_text().startswith("n,k,pending_size,elapsed_s")
 
     def test_degenerate_pending_fit_is_skipped(self, tmp_path, capsys):
-        # K checkpoints 1, 32, 1000: only 1000 clears k_min = 1000 // 10
+        # K checkpoints 1, 32, 1000: only 1000 clears the cutoff 1000 // 10
         code = main(["bench", "--n", "20", "--k-max", "1000", "--samples", "3",
                      "--fit", "--output", str(tmp_path / "bench.csv")])
         assert code == 0
@@ -392,6 +392,18 @@ class TestBenchCommand:
         assert code == 2
         assert dest.read_bytes() == before
         assert "seed" in capsys.readouterr().err
+
+    def test_repeated_n_leaves_output_untouched(self, tmp_path, capsys):
+        dest = tmp_path / "keep.csv"
+        dest.write_text("n,k,pending_size,elapsed_s,trial,seed\n15,1,1,0.0,0,42\n")
+        before = dest.read_bytes()
+        code = main(["bench", "--n", "15,15", "--k-max", "200", "--samples", "5",
+                     "--fit", "--output", str(dest)])
+        assert code == 2
+        assert dest.read_bytes() == before
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_values must not repeat" in captured.err
 
     def test_bad_sample_count_is_usage_error(self, capsys):
         assert main(["bench", "--n", "5", "--k-max", "4", "--samples", "9"]) == 2

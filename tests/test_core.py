@@ -22,7 +22,6 @@ from pairsums.core import (
     iter_top,
     lex_less,
     normalize,
-    pending_size,
     score,
     shift,
     successors,
@@ -276,7 +275,7 @@ class TestPendingSet:
 class TestAdvance:
     def test_first_emission_is_base(self, instance):
         state = init(instance)
-        assert pending_size(state) == 1
+        assert state.pending_size() == 1
         first = state.advance()
         assert first.sum == 3
         assert first.combo == Combination(3)
@@ -292,7 +291,7 @@ class TestAdvance:
         assert state.advance().sum == 0
         assert state.advance().sum == 1
         assert state.advance() is None
-        assert pending_size(state) == 0
+        assert state.pending_size() == 0
 
     def test_emitted_count_tracks_calls(self, instance):
         state = init(instance)
@@ -328,7 +327,7 @@ class TestAdvance:
         masks = []
         while (out := state.advance()) is not None:
             masks.append(out.combo.mask)
-            assert len(state.seen) == state.emitted_count + pending_size(state)
+            assert len(state.seen) == state.emitted_count + state.pending_size()
         assert len(masks) == 2 ** 6
         assert len(set(masks)) == len(masks)
 
@@ -462,5 +461,5 @@ class TestPendingSizeBound:
             i = 0
             while state.advance() is not None:
                 i += 1
-                assert pending_size(state) <= i * bound_unit
+                assert state.pending_size() <= i * bound_unit
             assert i == 2**n

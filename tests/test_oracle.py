@@ -66,7 +66,14 @@ def test_k_zero_rejected():
 
 @pytest.mark.parametrize(
     "pairs, error",
-    [([(10**400, 1)], NonFiniteInput), ([(math.nan, 1.0)], NonFiniteInput), ([], EmptyInput)],
+    [
+        ([(10**400, 1)], NonFiniteInput),
+        ([(math.nan, 1.0)], NonFiniteInput),
+        ([], EmptyInput),
+        ((p for p in [(1, 5), (2, 3)]), ValueError),
+        (iter([[1, 2]]), ValueError),
+        ({1: 2}, ValueError),
+    ],
 )
 def test_bad_pairs_raise_the_engine_errors(pairs, error):
     for rank in (top_k, brute_force_top_k):

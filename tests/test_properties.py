@@ -11,7 +11,6 @@ from pairsums.core import (
     _LexKey,
     init,
     normalize,
-    pending_size,
     score,
     shift,
     successors,
@@ -96,10 +95,10 @@ def test_pending_bound_and_completeness(pairs):
     i = 0
     while (out := state.advance()) is not None:
         i += 1
-        assert pending_size(state) <= i * ceil_half(n)
+        assert state.pending_size() <= i * ceil_half(n)
         seen.add(out.combo)
     assert len(seen) == 2**n
-    assert pending_size(state) == 0
+    assert state.pending_size() == 0
 
 
 @given(pair_lists(max_n=10))
