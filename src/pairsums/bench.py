@@ -1,19 +1,23 @@
 """Scaling measurements for the best-first enumerator.
 
-Samples uniform random pair sets, runs the enumerator to a K budget while
-recording the frontier size |P| and the cumulative process time at a grid
-of K checkpoints, fits a second-degree polynomial to the time curve and a
-line to the frontier size over K >= max K / 10. CPU process time is used
-rather than wall clock, and each timed run is preceded by a short untimed
-warm-up pass so allocator and cache startup noise stays out of the
-measurement.
+Samples uniform random pair sets, runs the enumerator on the paper's
+sorted-list frontier (``core.PaperFrontier``, O(|P|) per step) to a K
+budget while recording the frontier size |P| and the cumulative process
+time at a grid of K checkpoints, fits a second-degree polynomial to the
+time curve and a line to the frontier size over K >= max K / 10. CPU
+process time is used rather than wall clock, and each timed run is
+preceded by a short untimed warm-up pass so allocator and cache startup
+noise stays out of the measurement.
 
 ``pairsums bench`` is the command-line entry point: it writes the CSV and,
 with ``--fit``, prints both fits per n.
 
 Times are machine-dependent; the reproducible claims are fit quality
 (time vs K is near-quadratic, |P| vs K near-linear for K << 2^n) and the
-exhaustion of the frontier when K reaches 2^n.
+exhaustion of the frontier when K reaches 2^n. The serving paths walk the
+heap frontier (``core.PendingSet``), which pops in the same order and has
+the same |P| at every step but grows in time as O(K log K), so it would
+not show the paper's curve.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import init, normalize
+from .core import PaperFrontier, init, normalize
 
 WARMUP_STEPS = 1000  # untimed enumeration steps before each trial
 
@@ -94,7 +98,7 @@ def checkpoints_for(config: BenchConfig, n: int) -> list[int]:
 
 
 def run_bench(config: BenchConfig) -> list[BenchRecord]:
-    """Run the measurement campaign; deterministic given the seed.
+    """Run the measurement campaign on ``PaperFrontier``; deterministic given the seed.
 
     Pairs are drawn from the standard uniform distribution with a generator
     seeded by (seed, n, trial), so pending-size columns replay exactly;
@@ -107,9 +111,10 @@ def run_bench(config: BenchConfig) -> list[BenchRecord]:
             rng = np.random.default_rng([config.seed, n, trial])
             pairs = rng.random((n, 2))
             instance = normalize(pairs)
-            for _ in islice(init(instance), min(WARMUP_STEPS, cps[-1])):
+            warmup = init(instance, frontier=PaperFrontier)
+            for _ in islice(warmup, min(WARMUP_STEPS, cps[-1])):
                 pass
-            state = init(instance)
+            state = init(instance, frontier=PaperFrontier)
             start = time.process_time()
             for k in cps:
                 for _ in islice(state, k - state.emitted_count):

@@ -48,6 +48,8 @@ EXIT_NOT_FOUND = 1
 EXIT_USAGE = 2
 EXIT_NONFINITE = 3
 
+OUTPUT_BUFFER_BYTES = 1 << 20  # streamed rows reach the file in few large writes
+
 
 class ParseError(ValueError):
     """Input file did not parse as pairs."""
@@ -145,7 +147,7 @@ def _output(path: str):
     """The destination as a context manager: stdout for "-", else the file truncated."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
-    return open(path, "w")
+    return open(path, "w", buffering=OUTPUT_BUFFER_BYTES)
 
 
 def _format_topk(results, fmt: str) -> Iterator[str]:

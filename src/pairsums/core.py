@@ -15,10 +15,16 @@ Successor moves: a single shift either sets bit 1 (position of the smallest
 gap) or moves a set bit from position i-1 to position i. Because delta is
 ascending, shifts never decrease the sum, so best-first search over the
 shift graph, seeded with the all-zeros vector, emits combinations in sum
-order. The frontier ("pending set") is one ascending list ordered by
-(sum, lexicographic bits); each step pops its head and merges the sorted
-batch of fresh successors into the whole list in one pass, O(|P|) per
-step and so O(K^2) for K results.
+order. The frontier ("pending set") orders candidates by (sum,
+lexicographic bits). Two frontiers pop in that same order:
+
+- ``PendingSet``, the default, is a binary heap: each pop and each push
+  costs O(log |P|), so K results cost O(K log K) frontier work. Every
+  serving path (``top_k``, ``iter_top``, ``decode_best``, the CLI) walks it.
+- ``PaperFrontier`` is the paper's sorted list: each step pops its head
+  and merges the fresh successors into the whole list, O(|P|) per step and
+  so O(K^2) for K results. ``bench.run_bench`` (and ``pairsums bench``)
+  walks it to reproduce the paper's scaling curve.
 
 Bit packing convention, used everywhere in this package: position j
 (1-based) of a combination lives at integer bit j-1, so the all-zeros
@@ -34,6 +40,7 @@ import numbers
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import islice
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -318,13 +325,44 @@ def successors(combo: Combination) -> list[Combination]:
 
 
 class PendingSet:
-    """Frontier of scored candidates, ordered by (sum, lexicographic bits).
+    """Serving frontier: a binary heap of (sum, _LexKey, mask) entries.
+
+    Extract-min pops the entry with the smallest sum, ties to the
+    lex-smallest mask, exactly as ``PaperFrontier`` does, and each insert
+    pushes one entry; both cost O(log len(pending)). Callers offer each mask
+    at most once (in an enumeration, ``EnumerationState.seen`` guarantees
+    it), so no duplicate check runs here.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self):
+        self._entries: list[tuple[float, _LexKey, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def extract_min(self) -> Optional[tuple[float, _LexKey, int]]:
+        """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
+        return heappop(self._entries) if self._entries else None
+
+    def insert_batch(self, batch: list[tuple[float, _LexKey, int]]) -> None:
+        """Push each new entry; ``batch`` is left as it is."""
+        entries = self._entries
+        for entry in batch:
+            heappush(entries, entry)
+
+
+class PaperFrontier:
+    """The paper's frontier: scored candidates ordered by (sum, lexicographic bits).
 
     One ascending list: extract-min pops its head, and each batch of new
     entries is sorted and merged into the whole list in one pass, so a step
-    costs O(len(pending) + b log b). Callers offer each mask at most once
-    (in an enumeration, ``EnumerationState.seen`` guarantees it), so no
-    duplicate check runs here.
+    costs O(len(pending) + b log b) and K results cost O(K^2). Kept as the
+    reproduction baseline that ``bench.run_bench`` walks; it pops in the
+    same order as ``PendingSet`` and, like it, runs no duplicate check.
+    The benchmark tracer wraps ``PendingSet`` only, so this class is never
+    traced.
     """
 
     __slots__ = ("_entries",)
@@ -357,6 +395,10 @@ class PendingSet:
 class EnumerationState:
     """Mutable iterator state: pending frontier, seen masks, emit counter.
 
+    ``frontier`` is the frontier class, ``PendingSet`` (a heap) unless the
+    caller reproduces the paper's O(K^2) curve with ``PaperFrontier``; both
+    emit the same combinations in the same order.
+
     ``seen`` spans everything ever generated (emitted plus pending), which
     keeps already-ranked combinations out of the frontier even when sums
     tie or two parents generate the same child. Single-owner: do not call
@@ -365,9 +407,9 @@ class EnumerationState:
 
     __slots__ = ("instance", "pending", "seen", "emitted_count", "_delta")
 
-    def __init__(self, instance: ProblemInstance):
+    def __init__(self, instance: ProblemInstance, frontier: type = PendingSet):
         self.instance = instance
-        self.pending = PendingSet()
+        self.pending = frontier()
         self.seen: set[int] = {0}
         self.emitted_count = 0
         # O(1) view of the gaps, no copy; indexing it yields Python floats
@@ -378,7 +420,7 @@ class EnumerationState:
         """Emit the next combination in sum order, or None when exhausted.
 
         Extract-min, then generate all unseen successors with incrementally
-        computed sums and merge them into the frontier.
+        computed sums and insert them into the frontier.
         """
         entry = self.pending.extract_min()
         if entry is None:
@@ -411,9 +453,9 @@ class EnumerationState:
         return iter(self.advance, None)
 
 
-def init(instance: ProblemInstance) -> EnumerationState:
+def init(instance: ProblemInstance, frontier: type = PendingSet) -> EnumerationState:
     """Fresh enumeration state: pending holds only the all-zeros vector."""
-    return EnumerationState(instance)
+    return EnumerationState(instance, frontier)
 
 
 def denormalize(instance: ProblemInstance, combo: Combination) -> Combination:

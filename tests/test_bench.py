@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from pairsums import core
 from pairsums.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -119,6 +120,17 @@ class TestRunBench:
             t: [r.pending_size for r in records if r.trial == t] for t in (0, 1)
         }
         assert by_trial[0] != by_trial[1]
+
+    def test_walks_the_paper_frontier(self, monkeypatch):
+        # the O(K^2) curve is the paper's sorted list; a heap would pass
+        # every other test here and show only as a flatter timing ratio
+        def refuse(*args):
+            raise AssertionError("run_bench touched the heap frontier")
+
+        monkeypatch.setattr(core.PendingSet, "insert_batch", refuse)
+        monkeypatch.setattr(core.PendingSet, "extract_min", refuse)
+        records = run_bench(BenchConfig(n_values=(12,), k_max=200, k_samples=5, seed=1))
+        assert records[-1].k == 200 and records[-1].pending_size > 0
 
 
 class TestFits:

@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import math
 import random
@@ -15,6 +14,7 @@ from pairsums.core import (
     InvalidK,
     LengthMismatch,
     NonFiniteInput,
+    PaperFrontier,
     PendingSet,
     _LexKey,
     denormalize,
@@ -229,23 +229,31 @@ class TestSuccessors:
         assert len(got) == len(set(got))
 
 
+FRONTIERS = pytest.mark.parametrize(
+    "frontier", [PendingSet, PaperFrontier], ids=lambda f: f.__name__
+)
+
+
 class TestPendingSet:
-    def test_extract_in_sum_order(self):
-        p = PendingSet()
+    @FRONTIERS
+    def test_extract_in_sum_order(self, frontier):
+        p = frontier()
         p.insert_batch([(5.0, _LexKey(3), 3), (1.0, _LexKey(1), 1), (3.0, _LexKey(2), 2)])
         sums = [p.extract_min()[0] for _ in range(3)]
         assert sums == [1.0, 3.0, 5.0]
         assert p.extract_min() is None
 
-    def test_ties_break_lexicographically(self):
+    @FRONTIERS
+    def test_ties_break_lexicographically(self, frontier):
         # equal sums: 001 (mask 4) precedes 110 (mask 3) in bit-string order
-        p = PendingSet()
+        p = frontier()
         p.insert_batch([(2.0, _LexKey(3), 3), (2.0, _LexKey(4), 4)])
         assert p.extract_min()[2] == 4
         assert p.extract_min()[2] == 3
 
-    def test_interleaved_inserts_stay_sorted(self):
-        p = PendingSet()
+    @FRONTIERS
+    def test_interleaved_inserts_stay_sorted(self, frontier):
+        p = frontier()
         p.insert_batch([(4.0, _LexKey(8), 8), (1.0, _LexKey(1), 1)])
         assert p.extract_min()[0] == 1.0
         p.insert_batch([(2.0, _LexKey(2), 2), (9.0, _LexKey(16), 16)])
@@ -253,23 +261,23 @@ class TestPendingSet:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_heap_on_random_interleavings(self, seed):
-        # integer sums in 0..5 tie often, so the lex tie-break decides most pops
+        # the paper's sorted list against the heap; integer sums in 0..5 tie
+        # often, so the lex tie-break decides most pops
         rng = random.Random(seed)
         masks = iter(rng.sample(range(1 << 16), 1 << 12))  # distinct
-        p = PendingSet()
-        heap = []
+        paper = PaperFrontier()
+        heap = PendingSet()
         for _ in range(400):
             if rng.random() < 0.55:
                 batch = []
                 for _ in range(rng.randint(0, 6)):
                     m = next(masks)
                     batch.append((float(rng.randint(0, 5)), _LexKey(m), m))
-                for entry in batch:
-                    heapq.heappush(heap, entry)
-                p.insert_batch(batch)
+                heap.insert_batch(batch)
+                paper.insert_batch(batch)
             else:
-                assert p.extract_min() == (heapq.heappop(heap) if heap else None)
-            assert len(p) == len(heap)
+                assert paper.extract_min() == heap.extract_min()
+            assert len(paper) == len(heap)
 
 
 class TestAdvance:
