@@ -15,8 +15,9 @@ Successor moves: a single shift either sets bit 1 (position of the smallest
 gap) or moves a set bit from position i-1 to position i. Because delta is
 ascending, shifts never decrease the sum, so best-first search over the
 shift graph, seeded with the all-zeros vector, emits combinations in sum
-order. The frontier ("pending set") orders candidates by (sum,
-lexicographic bits). Two frontiers pop in that same order:
+order. The frontier ("pending set") pops (sum, key, mask) entries in tuple
+order, and the ``bytes`` key breaks sum ties by lexicographic bits (see
+``_lex_key``). Two frontiers pop in that same order:
 
 - ``PendingSet``, the default, is a binary heap: each pop and each push
   costs O(log |P|), so K results cost O(K log K) frontier work. Every
@@ -37,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+import operator
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -82,12 +84,15 @@ class IndexOutOfRange(IndexError):
 class Combination:
     """Immutable N-bit choice vector.
 
-    Equality and hashing are over bit content (and length) only.
+    Equality and hashing are over bit content (and length) only. Lengths,
+    masks and positions may be numpy integers; floats raise TypeError.
     """
 
     __slots__ = ("n", "mask")
 
     def __init__(self, n: int, mask: int = 0):
+        n = operator.index(n)
+        mask = operator.index(mask)
         if n < 1:
             raise ValueError("combination length must be >= 1")
         if mask < 0 or mask.bit_length() > n:
@@ -102,11 +107,12 @@ class Combination:
         for j, b in enumerate(bits):
             if b not in (0, 1):
                 raise ValueError("bits must be 0 or 1")
-            mask |= b << j
+            mask |= operator.index(b) << j
         return cls(len(bits), mask)
 
     def bit(self, i: int) -> int:
         """Value at 1-based position i."""
+        i = operator.index(i)
         if not 1 <= i <= self.n:
             raise IndexOutOfRange(f"position {i} outside 1..{self.n}")
         return (self.mask >> (i - 1)) & 1
@@ -137,35 +143,26 @@ class Combination:
         return f"Combination({self.to01()!r})"
 
 
-class _LexKey:
-    """Orders bit masks as words read from position 1 (position 1 first).
+# byte b with its bit order reversed: bit 0 becomes bit 7
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
-    The first differing position decides; the mask holding a 0 there is
-    smaller. Used as a tie-breaker beside equal sums, so the comparison
-    only runs on exact float ties.
+
+def _lex_key(mask: int) -> bytes:
+    """Tie key: ``bytes`` that compare (in C) like ``mask`` read from position 1.
+
+    Byte i holds positions 8i+1..8i+8, position 8i+1 most significant; the
+    length is minimal (mask 0 gives b""), so a key's proper prefix belongs
+    to a smaller mask.
     """
-
-    __slots__ = ("mask",)
-
-    def __init__(self, mask: int):
-        self.mask = mask
-
-    def __eq__(self, other) -> bool:
-        return self.mask == other.mask
-
-    def __lt__(self, other) -> bool:
-        d = self.mask ^ other.mask
-        if not d:
-            return False
-        return not self.mask & (d & -d)
-
-    def __repr__(self) -> str:
-        return f"_LexKey({self.mask:#x})"
+    return mask.to_bytes((mask.bit_length() + 7) >> 3, "little").translate(_BIT_REVERSED)
 
 
 def lex_less(a: Combination, b: Combination) -> bool:
     """True if a precedes b lexicographically (position 1 most significant)."""
-    return _LexKey(a.mask) < _LexKey(b.mask)
+    return _lex_key(a.mask) < _lex_key(b.mask)
+
+
+Entry = tuple[float, bytes, int]  # a frontier entry: (sum, _lex_key(mask), mask)
 
 
 @dataclass(frozen=True)
@@ -280,6 +277,7 @@ def shift(combo: Combination, i: int) -> Combination:
     returned unchanged. Never mutates.
     """
     n = combo.n
+    i = operator.index(i)
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"shift index {i} outside 1..{n}")
     m = combo.mask
@@ -325,7 +323,7 @@ def successors(combo: Combination) -> list[Combination]:
 
 
 class PendingSet:
-    """Serving frontier: a binary heap of (sum, _LexKey, mask) entries.
+    """Serving frontier: a binary heap of (sum, key, mask) entries.
 
     Extract-min pops the entry with the smallest sum, ties to the
     lex-smallest mask, exactly as ``PaperFrontier`` does, and each insert
@@ -337,16 +335,16 @@ class PendingSet:
     __slots__ = ("_entries",)
 
     def __init__(self):
-        self._entries: list[tuple[float, _LexKey, int]] = []
+        self._entries: list[Entry] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def extract_min(self) -> Optional[tuple[float, _LexKey, int]]:
+    def extract_min(self) -> Optional[Entry]:
         """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
         return heappop(self._entries) if self._entries else None
 
-    def insert_batch(self, batch: list[tuple[float, _LexKey, int]]) -> None:
+    def insert_batch(self, batch: list[Entry]) -> None:
         """Push each new entry; ``batch`` is left as it is."""
         entries = self._entries
         for entry in batch:
@@ -354,11 +352,11 @@ class PendingSet:
 
 
 class PaperFrontier:
-    """The paper's frontier: scored candidates ordered by (sum, lexicographic bits).
+    """The paper's frontier: (sum, key, mask) entries in one ascending list.
 
-    One ascending list: extract-min pops its head, and each batch of new
-    entries is sorted and merged into the whole list in one pass, so a step
-    costs O(len(pending) + b log b) and K results cost O(K^2). Kept as the
+    Extract-min pops the head, and each batch of new entries is sorted and
+    merged into the whole list in one pass, so a step costs
+    O(len(pending) + b log b) and K results cost O(K^2). Kept as the
     reproduction baseline that ``bench.run_bench`` walks; it pops in the
     same order as ``PendingSet`` and, like it, runs no duplicate check.
     The benchmark tracer wraps ``PendingSet`` only, so this class is never
@@ -368,20 +366,20 @@ class PaperFrontier:
     __slots__ = ("_entries",)
 
     def __init__(self):
-        self._entries: list[tuple[float, _LexKey, int]] = []
+        self._entries: list[Entry] = []
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def extract_min(self) -> Optional[tuple[float, _LexKey, int]]:
+    def extract_min(self) -> Optional[Entry]:
         """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
         return self._entries.pop(0) if self._entries else None
 
-    def insert_batch(self, batch: list[tuple[float, _LexKey, int]]) -> None:
+    def insert_batch(self, batch: list[Entry]) -> None:
         """Merge new entries in; sorts ``batch`` in place."""
         batch.sort()
         old = self._entries
-        merged: list[tuple[float, _LexKey, int]] = []
+        merged: list[Entry] = []
         lo = 0
         for entry in batch:
             pos = bisect_left(old, entry, lo)
@@ -414,7 +412,7 @@ class EnumerationState:
         self.emitted_count = 0
         # O(1) view of the gaps, no copy; indexing it yields Python floats
         self._delta = memoryview(instance.delta)
-        self.pending.insert_batch([(instance.s1, _LexKey(0), 0)])
+        self.pending.insert_batch([(instance.s1, _lex_key(0), 0)])
 
     def advance(self) -> Optional[ScoredCombination]:
         """Emit the next combination in sum order, or None when exhausted.
@@ -435,7 +433,7 @@ class EnumerationState:
                 seen.add(child)
                 # the sum increment for landing bit k (see _child_moves)
                 step = delta[k] - delta[k - 1] if k else delta[0]
-                batch.append((total + step, _LexKey(child), child))
+                batch.append((total + step, _lex_key(child), child))
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1

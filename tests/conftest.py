@@ -15,9 +15,9 @@ def pair_lists(max_n: int = 12, elements=finite):
     return st.lists(st.tuples(elements, elements), min_size=1, max_size=max_n)
 
 
-def int_pair_lists(max_n: int = 12):
+def int_pair_lists(max_n: int = 12, min_n: int = 1):
     ints = st.integers(min_value=-100, max_value=100)
-    return st.lists(st.tuples(ints, ints), min_size=1, max_size=max_n)
+    return st.lists(st.tuples(ints, ints), min_size=min_n, max_size=max_n)
 
 
 def bit_lists(max_n: int = 64):

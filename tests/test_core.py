@@ -16,7 +16,7 @@ from pairsums.core import (
     NonFiniteInput,
     PaperFrontier,
     PendingSet,
-    _LexKey,
+    _lex_key,
     denormalize,
     init,
     iter_top,
@@ -58,6 +58,19 @@ class TestCombination:
         with pytest.raises(ValueError):
             Combination(0)
 
+    @pytest.mark.parametrize("integer", [int, np.int64, np.uint16], ids=lambda t: t.__name__)
+    def test_numpy_integers_accepted_floats_rejected(self, integer):
+        wide = Combination(100, 1 << 78)
+        c = Combination(integer(3), integer(5))
+        assert c == Combination(3, 5) and type(c.n) is int and type(c.mask) is int
+        assert wide.bit(integer(79)) == 1 and wide.bit(integer(78)) == 0
+        assert shift(wide, integer(80)).mask == 1 << 79
+        assert Combination.from_bits(np.ones(70, dtype=integer)).mask == (1 << 70) - 1
+        for bad in (lambda: Combination(3, 5.0), lambda: wide.bit(79.0),
+                    lambda: shift(wide, 80.0)):
+            with pytest.raises(TypeError):
+                bad()
+
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 13, 64, 65, 200])
     def test_bits_and_string_match_per_bit_definition(self, n):
         rng = np.random.default_rng(n)
@@ -84,10 +97,17 @@ class TestLexOrder:
         assert not lex_less(c, c)
 
     def test_key_total_order_matches_bit_tuples(self):
-        masks = list(range(16))
-        by_key = sorted(masks, key=_LexKey)
-        by_bits = sorted(masks, key=lambda m: tuple((m >> j) & 1 for j in range(4)))
+        # every 12-bit mask, the edge masks of each width past two bytes, and
+        # random masks up to 300 bits against the bit tuple read from position 1
+        n = 300
+        rng = random.Random(20)
+        masks = set(range(1 << 12))
+        masks |= {1 << j for j in range(n)} | {(1 << j) - 1 for j in range(n)}
+        masks |= {rng.getrandbits(rng.randint(1, n)) for _ in range(2000)}
+        by_key = sorted(masks, key=_lex_key)
+        by_bits = sorted(masks, key=lambda m: tuple((m >> j) & 1 for j in range(n)))
         assert by_key == by_bits
+        assert len(set(map(_lex_key, masks))) == len(masks)
 
 
 class TestNormalize:
@@ -238,7 +258,7 @@ class TestPendingSet:
     @FRONTIERS
     def test_extract_in_sum_order(self, frontier):
         p = frontier()
-        p.insert_batch([(5.0, _LexKey(3), 3), (1.0, _LexKey(1), 1), (3.0, _LexKey(2), 2)])
+        p.insert_batch([(5.0, _lex_key(3), 3), (1.0, _lex_key(1), 1), (3.0, _lex_key(2), 2)])
         sums = [p.extract_min()[0] for _ in range(3)]
         assert sums == [1.0, 3.0, 5.0]
         assert p.extract_min() is None
@@ -247,16 +267,16 @@ class TestPendingSet:
     def test_ties_break_lexicographically(self, frontier):
         # equal sums: 001 (mask 4) precedes 110 (mask 3) in bit-string order
         p = frontier()
-        p.insert_batch([(2.0, _LexKey(3), 3), (2.0, _LexKey(4), 4)])
+        p.insert_batch([(2.0, _lex_key(3), 3), (2.0, _lex_key(4), 4)])
         assert p.extract_min()[2] == 4
         assert p.extract_min()[2] == 3
 
     @FRONTIERS
     def test_interleaved_inserts_stay_sorted(self, frontier):
         p = frontier()
-        p.insert_batch([(4.0, _LexKey(8), 8), (1.0, _LexKey(1), 1)])
+        p.insert_batch([(4.0, _lex_key(8), 8), (1.0, _lex_key(1), 1)])
         assert p.extract_min()[0] == 1.0
-        p.insert_batch([(2.0, _LexKey(2), 2), (9.0, _LexKey(16), 16)])
+        p.insert_batch([(2.0, _lex_key(2), 2), (9.0, _lex_key(16), 16)])
         assert [p.extract_min()[0] for _ in range(3)] == [2.0, 4.0, 9.0]
 
     @pytest.mark.parametrize("seed", range(12))
@@ -272,7 +292,7 @@ class TestPendingSet:
                 batch = []
                 for _ in range(rng.randint(0, 6)):
                     m = next(masks)
-                    batch.append((float(rng.randint(0, 5)), _LexKey(m), m))
+                    batch.append((float(rng.randint(0, 5)), _lex_key(m), m))
                 heap.insert_batch(batch)
                 paper.insert_batch(batch)
             else:
@@ -326,6 +346,13 @@ class TestAdvance:
         assert [e.sum for e in emitted] == [0, 1, 1, 2, 2, 3, 3, 4]
         assert emitted[3].combo.to01() == "001"
         assert emitted[4].combo.to01() == "110"
+
+    @pytest.mark.parametrize("direction", list(Direction))
+    def test_readme_tie_example(self, direction):
+        # equal gaps: sliding the one from position 1 to 2 costs nothing, and
+        # the lex-smaller 01 still comes after the 10 it slides from
+        inst = normalize([(0, 0), (0, 0)], direction)
+        assert [e.combo.to01() for e in init(inst)] == ["00", "10", "01", "11"]
 
     def test_seen_is_emitted_plus_pending(self):
         # tie-heavy: many children are reached from two parents, and seen

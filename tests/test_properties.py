@@ -1,5 +1,6 @@
 import heapq
 import math
+from itertools import islice
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,6 @@ from conftest import bit_lists, int_pair_lists, pair_lists
 from pairsums.core import (
     Combination,
     Direction,
-    _LexKey,
     init,
     normalize,
     score,
@@ -158,24 +158,30 @@ def test_incremental_sums_match_scratch_scores(pairs):
         assert out.sum == score(inst, out.combo)
 
 
-def best_first_reference(inst):
-    """Hat masks in the stated tie order, built independently of the engine.
+def bit_tuple(mask: int, n: int) -> tuple[int, ...]:
+    """The stated tie key, built without the engine's: bits, position 1 first."""
+    return tuple((mask >> j) & 1 for j in range(n))
 
-    Each step takes the (sum, lex)-smallest combination that is one shift
-    away from an emitted one (the all-zeros vector first). Sums come from
-    ``score``, the frontier is a heap.
+
+def best_first_reference(inst, limit=None):
+    """The first ``limit`` hat masks (all if None) in the stated tie order.
+
+    Built independently of the engine: each step takes the (sum, lex)-smallest
+    combination that is one shift away from an emitted one (the all-zeros
+    vector first). Sums come from ``score``, ties from ``bit_tuple``, and the
+    frontier is a heap.
     """
     n = inst.n
-    heap = [(inst.s1, _LexKey(0), 0)]
+    heap = [(inst.s1, bit_tuple(0, n), 0)]
     reached = {0}
     order = []
-    while heap:
+    while heap and len(order) != limit:
         _, _, mask = heapq.heappop(heap)
         order.append(mask)
         for child in successors(Combination(n, mask)):
             if child.mask not in reached:
                 reached.add(child.mask)
-                heapq.heappush(heap, (score(inst, child), _LexKey(child.mask), child.mask))
+                heapq.heappush(heap, (score(inst, child), bit_tuple(child.mask, n), child.mask))
     return order
 
 
@@ -184,6 +190,19 @@ def test_tie_order_is_best_first_lex(pairs, direction):
     # Integer inputs keep every sum exact, so only the tie rule decides.
     inst = normalize(pairs, direction)
     assert [out.combo.mask for out in init(inst)] == best_first_reference(inst)
+
+
+WIDE_POPS = 1500
+
+
+@given(int_pair_lists(max_n=40, min_n=12), st.sampled_from([Direction.MIN, Direction.MAX]))
+@settings(max_examples=40)
+def test_tie_order_is_best_first_lex_past_two_bytes(pairs, direction):
+    # N 12..40: some ties are decided past position 16, beyond the key's second
+    # byte; a key cut to two bytes passes the N <= 10 property but fails here
+    inst = normalize(pairs, direction)
+    got = [out.combo.mask for out in islice(init(inst), WIDE_POPS)]
+    assert got == best_first_reference(inst, WIDE_POPS)
 
 
 distinct_gap_int_pairs = st.lists(
@@ -202,6 +221,6 @@ def test_distinct_gaps_emit_in_hat_mask_lex_order(pairs, direction):
     inst = normalize(pairs, direction)
     n = inst.n
     want = sorted(
-        range(2**n), key=lambda m: (score(inst, Combination(n, m)), _LexKey(m))
+        range(2**n), key=lambda m: (score(inst, Combination(n, m)), bit_tuple(m, n))
     )
     assert [out.combo.mask for out in init(inst)] == want
