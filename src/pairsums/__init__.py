@@ -13,7 +13,6 @@ from .core import (
     PendingSet,
     ProblemInstance,
     RankedChoice,
-    ScoredCombination,
     denormalize,
     init,
     iter_top,
@@ -39,7 +38,6 @@ __all__ = [
     "PendingSet",
     "ProblemInstance",
     "RankedChoice",
-    "ScoredCombination",
     "TooLarge",
     "brute_force_top_k",
     "denormalize",

@@ -44,7 +44,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -186,11 +186,6 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return len(self.delta)
-
-
-class ScoredCombination(NamedTuple):
-    combo: Combination
-    sum: float
 
 
 def _positive_count(value, name: str) -> int:
@@ -414,11 +409,12 @@ class EnumerationState:
         self._delta = memoryview(instance.delta)
         self.pending.insert_batch([(instance.s1, _lex_key(0), 0)])
 
-    def advance(self) -> Optional[ScoredCombination]:
-        """Emit the next combination in sum order, or None when exhausted.
+    def advance(self) -> Optional[tuple[float, int]]:
+        """Emit the next ``(sum, hat mask)`` in sum order, or None when exhausted.
 
         Extract-min, then generate all unseen successors with incrementally
-        computed sums and insert them into the frontier.
+        computed sums and insert them into the frontier. The sum is on the
+        instance's scale (negated for MAX); no ``Combination`` is built.
         """
         entry = self.pending.extract_min()
         if entry is None:
@@ -437,12 +433,12 @@ class EnumerationState:
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1
-        return ScoredCombination(Combination(n, mask), total)
+        return total, mask
 
     def pending_size(self) -> int:
         return len(self.pending)
 
-    def __iter__(self) -> Iterator[ScoredCombination]:
+    def __iter__(self) -> Iterator[tuple[float, int]]:
         """Call ``advance`` until it returns None.
 
         The iterator shares this state: each item is one ``advance`` call,
@@ -531,8 +527,8 @@ def iter_top(
     instance = normalize(pairs, direction)
     sign = -1.0 if direction is Direction.MAX else 1.0
     return (
-        RankedChoice(rank, sign * emitted.sum, instance=instance, hat_mask=emitted.combo.mask)
-        for rank, emitted in enumerate(init(instance), start=1)
+        RankedChoice(rank, sign * total, instance=instance, hat_mask=mask)
+        for rank, (total, mask) in enumerate(init(instance), start=1)
     )
 
 

@@ -119,10 +119,8 @@ def _xor_over_bits(table: list[int], mask: int) -> int:
     return out
 
 
-def _hat_acceptor(
-    kind: Checksum, instance: ProblemInstance
-) -> Callable[[Combination], bool]:
-    """Per-frame yes/no test of hat-domain candidates.
+def _hat_acceptor(kind: Checksum, instance: ProblemInstance) -> Callable[[int], bool]:
+    """Per-frame yes/no test of hat-domain candidates, given as hat masks.
 
     Every kind is a GF(2) syndrome table over original positions (CRC-8,
     all ones for parity, all zeros for NONE); a word is valid when the XOR
@@ -142,7 +140,7 @@ def _hat_acceptor(
         raise ValueError(f"unknown checksum kind: {kind!r}")
     table = [syndromes[j] for j in instance.perm.tolist()]
     base = _xor_over_bits(syndromes, instance.flip_mask)
-    return lambda combo: _xor_over_bits(table, combo.mask) == base
+    return lambda mask: _xor_over_bits(table, mask) == base
 
 
 @dataclass(frozen=True)
@@ -177,17 +175,18 @@ def decode_best(
     """
     budget = _positive_count(max_candidates, "max_candidates")
     instance = normalize(confidences, Direction.MAX)
+    n = instance.n
     if callable(checksum):
-        accept = lambda combo: checksum(denormalize(instance, combo).to_bits())
+        accept = lambda mask: checksum(denormalize(instance, Combination(n, mask)).to_bits())
     else:  # a kind or its value, such as "crc8"; an unknown value raises here
         accept = _hat_acceptor(Checksum(checksum), instance)
-    for tested, emitted in enumerate(islice(init(instance), budget), start=1):
-        if accept(emitted.combo):
+    for tested, (total, mask) in enumerate(islice(init(instance), budget), start=1):
+        if accept(mask):
             return DecodeResult(
                 found=True,
-                bits=denormalize(instance, emitted.combo).to01(),
+                bits=denormalize(instance, Combination(n, mask)).to01(),
                 rank=tested,
-                confidence=-emitted.sum,
+                confidence=-total,
                 candidates_tested=tested,
             )
     return DecodeResult(

@@ -54,8 +54,9 @@ def full_runs():
         state = init(normalize(pairs))
         combos, sums, pendings = [], [], []
         while (out := state.advance()) is not None:
-            combos.append(out.combo)
-            sums.append(out.sum)
+            total, mask = out
+            combos.append(Combination(n, mask))
+            sums.append(total)
             pendings.append(state.pending_size())
         runs[n] = (combos, sums, pendings)
     return runs, time.monotonic() - start
@@ -235,8 +236,8 @@ def test_10_million_pair_smoke():
     ok = True
     for _ in range(k):
         out = state.advance()
-        ok = ok and out is not None and out.sum >= prev
-        prev = out.sum
+        ok = ok and out is not None and out[0] >= prev
+        prev = out[0]
     ok = ok and state.emitted_count == k
     # every stored mask was either emitted or still pends: no hidden growth
     ok = ok and len(state.seen) == k + state.pending_size()

@@ -304,20 +304,20 @@ class TestAdvance:
     def test_first_emission_is_base(self, instance):
         state = init(instance)
         assert state.pending_size() == 1
-        first = state.advance()
-        assert first.sum == 3
-        assert first.combo == Combination(3)
+        total, mask = state.advance()
+        assert total == 3
+        assert mask == 0
 
     def test_first_four_sums(self, instance):
         state = init(instance)
-        sums = [state.advance().sum for _ in range(4)]
+        sums = [state.advance()[0] for _ in range(4)]
         assert sums == [3, 4, 7, 7]
 
     def test_complete_run_then_exhausted(self):
         inst = normalize([(0, 1)], Direction.MIN)
         state = init(inst)
-        assert state.advance().sum == 0
-        assert state.advance().sum == 1
+        assert state.advance()[0] == 0
+        assert state.advance()[0] == 1
         assert state.advance() is None
         assert state.pending_size() == 0
 
@@ -335,7 +335,7 @@ class TestAdvance:
         first = next(it)
         second = state.advance()
         rest = list(it)
-        assert [first.sum, second.sum] + [r.sum for r in rest] == [3, 4, 7, 7, 8, 8, 11, 12]
+        assert [first[0], second[0]] + [total for total, _ in rest] == [3, 4, 7, 7, 8, 8, 11, 12]
         assert state.emitted_count == 8 and state.advance() is None
 
     def test_tie_extraction_prefers_lex_smaller(self):
@@ -343,16 +343,16 @@ class TestAdvance:
         inst = normalize([(0, 1), (0, 1), (0, 2)], Direction.MIN)
         state = init(inst)
         emitted = [state.advance() for _ in range(8)]
-        assert [e.sum for e in emitted] == [0, 1, 1, 2, 2, 3, 3, 4]
-        assert emitted[3].combo.to01() == "001"
-        assert emitted[4].combo.to01() == "110"
+        assert [total for total, _ in emitted] == [0, 1, 1, 2, 2, 3, 3, 4]
+        assert Combination(3, emitted[3][1]).to01() == "001"
+        assert Combination(3, emitted[4][1]).to01() == "110"
 
     @pytest.mark.parametrize("direction", list(Direction))
     def test_readme_tie_example(self, direction):
         # equal gaps: sliding the one from position 1 to 2 costs nothing, and
         # the lex-smaller 01 still comes after the 10 it slides from
         inst = normalize([(0, 0), (0, 0)], direction)
-        assert [e.combo.to01() for e in init(inst)] == ["00", "10", "01", "11"]
+        assert [Combination(2, mask).to01() for _, mask in init(inst)] == ["00", "10", "01", "11"]
 
     def test_seen_is_emitted_plus_pending(self):
         # tie-heavy: many children are reached from two parents, and seen
@@ -361,13 +361,13 @@ class TestAdvance:
         state = init(inst)
         masks = []
         while (out := state.advance()) is not None:
-            masks.append(out.combo.mask)
+            masks.append(out[1])
             assert len(state.seen) == state.emitted_count + state.pending_size()
         assert len(masks) == 2 ** 6
         assert len(set(masks)) == len(masks)
 
     def test_iteration_protocol(self, instance):
-        sums = [sc.sum for sc in init(instance)]
+        sums = [total for total, _ in init(instance)]
         assert sums == [3, 4, 7, 7, 8, 8, 11, 12]
 
     def test_init_holds_no_per_n_state(self):
@@ -381,7 +381,7 @@ class TestAdvance:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
-        assert state.advance().sum == inst.s1
+        assert state.advance()[0] == inst.s1
 
 
 class TestDenormalize:

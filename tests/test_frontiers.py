@@ -32,7 +32,7 @@ def instances():
 
 def walk(state):
     """(hat mask, sum, pending size after the step) for every step."""
-    return [(e.combo.mask, e.sum, state.pending_size()) for e in islice(state, K_MAX)]
+    return [(mask, total, state.pending_size()) for total, mask in islice(state, K_MAX)]
 
 
 @pytest.mark.parametrize(

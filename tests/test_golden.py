@@ -75,8 +75,8 @@ def instance_digests(spec: dict) -> dict:
     direction = Direction(spec["direction"])
     state = init(normalize(pairs, direction))
     steps = (
-        f"{out.combo.mask:x} {state.pending_size()}"
-        for out in islice(state, spec["k"])
+        f"{mask:x} {state.pending_size()}"
+        for _, mask in islice(state, spec["k"])
     )
     results = top_k(pairs, spec["k"], direction)
     return {
