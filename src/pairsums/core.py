@@ -525,9 +525,9 @@ def iter_top(
     """Stream RankedChoice results best-first; bad input raises at the call."""
     direction = Direction(direction)
     instance = normalize(pairs, direction)
-    sign = -1.0 if direction is Direction.MAX else 1.0
+    negated = direction is Direction.MAX  # 0.0 - total is exact and never -0.0
     return (
-        RankedChoice(rank, sign * total, instance=instance, hat_mask=mask)
+        RankedChoice(rank, 0.0 - total if negated else total, instance=instance, hat_mask=mask)
         for rank, (total, mask) in enumerate(init(instance), start=1)
     )
 

@@ -186,7 +186,7 @@ def decode_best(
                 found=True,
                 bits=denormalize(instance, Combination(n, mask)).to01(),
                 rank=tested,
-                confidence=-total,
+                confidence=0.0 - total,  # exact, and +0.0 rather than -0.0
                 candidates_tested=tested,
             )
     return DecodeResult(

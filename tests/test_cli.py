@@ -207,6 +207,13 @@ class TestTopkCommand:
               "--format", "csv"])
         assert capsys.readouterr().out.strip().splitlines()[1] == "1,12,111"
 
+    def test_max_zero_sum_prints_as_zero(self, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("1,-5\n-1,-7\n")
+        main(["topk", "--input", str(path), "--k", "2", "--direction", "max",
+              "--format", "csv"])
+        assert capsys.readouterr().out.splitlines()[1:] == ["1,0,00", "2,-6,10"]
+
     def test_output_file(self, pairs_file, tmp_path):
         dest = tmp_path / "out.csv"
         main(["topk", "--input", pairs_file, "--k", "1", "--format", "csv",

@@ -476,6 +476,16 @@ class TestTopK:
             with pytest.raises(ValueError, match="'up' is not a valid Direction"):
                 rank(PAIRS, "up")
 
+    @pytest.mark.parametrize("pairs, want", [
+        ([(1, -5), (-1, -7)], [0.0, -6.0]),
+        ([(-0.0, 1.0)], [1.0, 0.0]),
+        ([(0.0, 0.0)], [0.0, 0.0]),
+    ])
+    def test_max_zero_sum_is_positive_zero(self, pairs, want):
+        sums = [r.sum for r in top_k(pairs, 2, Direction.MAX)]
+        assert sums == want
+        assert [math.copysign(1, s) for s in sums] == [math.copysign(1, w) for w in want]
+
     def test_iter_top_streams_lazily(self):
         it = iter_top(PAIRS, Direction.MIN)
         assert next(it).sum == 3

@@ -146,6 +146,10 @@ class TestDecodeBest:
         result = decode_best([(0.5, 0.5), (0.3, 0.7)], Checksum.NONE)
         assert result.bits == "01"
 
+    def test_zero_confidence_is_positive_zero(self):
+        result = decode_best([(0.0, 0.0)] * 3)
+        assert result.confidence == 0.0 and str(result.confidence) == "0.0"
+
     def test_exhausting_budget_reports_failure(self):
         result = decode_best(CONF3, Checksum.PARITY_EVEN, max_candidates=1)
         assert result == DecodeResult(

@@ -101,6 +101,16 @@ def test_pending_bound_and_completeness(pairs):
     assert state.pending_size() == 0
 
 
+@given(int_pair_lists(max_n=10))
+def test_max_zero_sums_are_positive_zero_like_the_oracle(pairs):
+    # a MAX sum is un-negated; a zero must come back as 0.0, never -0.0
+    pairs = pairs + [(1, -1)]  # integer sums reach zero often
+    k = min(2 ** len(pairs), 64)
+    got = [math.copysign(1, r.sum) for r in top_k(pairs, k, Direction.MAX)]
+    want = [math.copysign(1, r.sum) for r in brute_force_top_k(pairs, k, Direction.MAX)]
+    assert got == want
+
+
 @given(pair_lists(max_n=10))
 def test_max_is_negated_min_of_negated(pairs):
     k = min(2 ** len(pairs), 32)
