@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import PaperFrontier, init, normalize
+from .core import InvalidK, PaperFrontier, _positive_count, init, normalize
 
 WARMUP_STEPS = 1000  # untimed enumeration steps before each trial
 
@@ -58,14 +58,17 @@ class BenchConfig:
     k_checkpoints: Optional[Sequence[int]] = None
 
     def __post_init__(self):
-        if not self.n_values or any(n < 1 for n in self.n_values):
-            raise ValueError("n_values must be non-empty, all >= 1")
+        try:  # each n is a count; the message is the CLI's for --n 0
+            if not [_positive_count(n, "n") for n in self.n_values]:
+                raise InvalidK("n_values is empty")
+        except InvalidK as exc:
+            raise ValueError("n_values must be non-empty, all >= 1") from exc
         if len(set(self.n_values)) != len(self.n_values):
             raise ValueError(f"n_values must not repeat, got {list(self.n_values)}")
+        for name in ("k_max", "k_samples", "trials"):
+            _positive_count(getattr(self, name), name)
         if not (self.k_max >= self.k_samples >= 2):
             raise ValueError("need k_max >= k_samples >= 2")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         for n in self.n_values:  # raises here, before a caller opens its output

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import math
 
+import numpy as np
 import pytest
 
 from pairsums import core
@@ -55,6 +56,21 @@ class TestConfig:
     def test_rejects_bad_trials(self):
         with pytest.raises(ValueError):
             BenchConfig(trials=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"trials": 1.5},
+        {"n_values": (15.0,)},
+        {"n_values": [True]},
+    ], ids=["float-trials", "float-n", "bool-n"])
+    def test_counts_follow_the_count_rule(self, kwargs):
+        # as for k: a float or a bool is not a count, and the error is a ValueError
+        with pytest.raises(ValueError):
+            BenchConfig(**kwargs)
+
+    def test_accepts_numpy_counts(self):
+        config = BenchConfig(n_values=(np.int64(5),), k_max=np.int64(20),
+                             k_samples=np.int64(4), trials=np.int64(2))
+        assert len(run_bench(config)) == 2 * len(checkpoints_for(config, 5))
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
