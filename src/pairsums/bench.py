@@ -90,7 +90,7 @@ CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
 
 def checkpoints_for(config: BenchConfig, n: int) -> list[int]:
     """Ascending unique K checkpoints for one n, clipped to min(k_max, 2^n)."""
-    k_cap = min(config.k_max, 1 << n)
+    k_cap = min(config.k_max, 1 << int(n))  # a numpy n would wrap at 64 bits
     if config.k_checkpoints is not None:
         ks = sorted({int(k) for k in config.k_checkpoints if 1 <= k <= k_cap})
         if not ks:

@@ -68,9 +68,12 @@ class TestConfig:
             BenchConfig(**kwargs)
 
     def test_accepts_numpy_counts(self):
-        config = BenchConfig(n_values=(np.int64(5),), k_max=np.int64(20),
+        config = BenchConfig(n_values=(np.int64(5), np.int64(100)), k_max=np.int64(20),
                              k_samples=np.int64(4), trials=np.int64(2))
-        assert len(run_bench(config)) == 2 * len(checkpoints_for(config, 5))
+        # 2^100 does not fit an int64; the cap must still be k_max
+        assert checkpoints_for(config, np.int64(100))[-1] == 20
+        rows = sum(len(checkpoints_for(config, n)) for n in config.n_values)
+        assert len(run_bench(config)) == 2 * rows
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0"):
