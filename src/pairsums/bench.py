@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 import time
 from dataclasses import astuple, dataclass, fields
 from itertools import islice
@@ -46,8 +47,11 @@ class BenchConfig:
 
     ``k_checkpoints`` overrides the default log-spaced grid of
     ``k_samples`` points; either way checkpoints are clipped to
-    min(k_max, 2^n) per n. A bad field, or an explicit list that clips to
-    nothing for some n, raises ValueError at construction.
+    min(k_max, 2^n) per n. Every count, each checkpoint included, is an
+    integer >= 1 and ``seed`` an integer >= 0 (numpy's too, not bool);
+    ``seed`` and the checkpoints are stored as ints. A bad field, or an
+    explicit list that clips to nothing for some n, raises ValueError at
+    construction.
     """
 
     n_values: Sequence[int] = (15, 100, 1000)
@@ -69,8 +73,14 @@ class BenchConfig:
             _positive_count(getattr(self, name), name)
         if not (self.k_max >= self.k_samples >= 2):
             raise ValueError("need k_max >= k_samples >= 2")
+        if not isinstance(self.seed, numbers.Integral) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "seed", int(self.seed))  # numpy's too, for the CSV
+        if self.k_checkpoints is not None:
+            ks = tuple(_positive_count(k, "k_checkpoints entry") for k in self.k_checkpoints)
+            object.__setattr__(self, "k_checkpoints", ks)
         for n in self.n_values:  # raises here, before a caller opens its output
             checkpoints_for(self, n)
 
@@ -92,7 +102,7 @@ def checkpoints_for(config: BenchConfig, n: int) -> list[int]:
     """Ascending unique K checkpoints for one n, clipped to min(k_max, 2^n)."""
     k_cap = min(config.k_max, 1 << int(n))  # a numpy n would wrap at 64 bits
     if config.k_checkpoints is not None:
-        ks = sorted({int(k) for k in config.k_checkpoints if 1 <= k <= k_cap})
+        ks = sorted({k for k in config.k_checkpoints if k <= k_cap})
         if not ks:
             raise ValueError("no checkpoints left after clipping")
         return ks

@@ -8,8 +8,11 @@ Input files hold one number pair per line as "a,b" (an optional header
 line is detected by a non-numeric first token), or JSON of the form
 {"pairs": [[a, b], ...]}. The decode input uses the same shape with one
 confidence pair per bit. ``read_pairs`` parses either into one (N, 2)
-float64 array, which the engine takes without another conversion. A
-leading UTF-8 byte-order mark is ignored.
+float64 array, which the engine takes without another conversion. A CSV
+number is any text ``float()`` accepts: a file of plain ASCII numbers is
+read by numpy's C reader, with no Python call per token, and any other
+file by ``float()``; both give the same values. A leading UTF-8
+byte-order mark is ignored.
 
 Each subcommand writes into its destination, opened once. ``topk`` writes
 each row as it is formatted, so memory does not grow with k; a reader
@@ -78,10 +81,10 @@ _NUMBER_TYPES = {int, float}
 def read_pairs(path: str) -> np.ndarray:
     """Load (a, b) rows from a CSV or JSON file as an (N, 2) float64 array.
 
-    CSV tokens are parsed by ``float()``; JSON values must be JSON numbers
-    (``true``/``false`` are rejected). A malformed file raises ParseError
-    naming its first bad row; a JSON integer too large for a float raises
-    NonFiniteInput.
+    A CSV token is any text ``float()`` accepts; JSON values must be JSON
+    numbers (``true``/``false`` are rejected). A malformed file raises
+    ParseError naming its first bad row; a JSON integer too large for a
+    float raises NonFiniteInput.
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
@@ -96,12 +99,11 @@ def read_pairs(path: str) -> np.ndarray:
         rows = obj.get("pairs")
         if not isinstance(rows, list):
             raise ParseError(f'{path}: JSON must carry a "pairs" list')
+        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
+            _raise_first_bad_row(path, rows, is_json)
+        flat = list(chain.from_iterable(rows))
         # type(), not isinstance: JSON true/false must not pass as 1/0.
-        if not (
-            set(map(type, rows)) <= {list}
-            and set(map(len, rows)) <= {2}
-            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES
-        ):
+        if not set(map(type, flat)) <= _NUMBER_TYPES:
             _raise_first_bad_row(path, rows, is_json)
     else:
         rows = list(filter(str.strip, text.splitlines()))
@@ -110,19 +112,31 @@ def read_pairs(path: str) -> np.ndarray:
                 float(rows[0].partition(",")[0])
             except ValueError:
                 del rows[0]  # header line
-        if set(map(str.count, rows, repeat(","))) - {1}:
-            _raise_first_bad_row(path, rows, is_json)
     if not rows:
         raise ParseError(f"{path}: no data rows")
     if is_json:
         try:
-            return np.array(rows, dtype=float)
+            return np.fromiter(flat, np.float64, count=len(flat)).reshape(-1, 2)
         except OverflowError:
             raise NonFiniteInput() from None
+    # numpy's C reader gives float()'s values for plain ASCII numbers. What
+    # it rejects (1_000, non-ASCII digits, a bad token, a wrong field count)
+    # goes through float() below, which also names the first bad row. It
+    # strips U+001F as whitespace and float() does not, so that skips it.
+    if "\x1f" not in text:
+        try:
+            values = np.loadtxt(rows, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+        else:
+            if values.shape == (len(rows), 2):
+                return values
+    if set(map(str.count, rows, repeat(","))) - {1}:
+        _raise_first_bad_row(path, rows, is_json)
     # One comma per line, so these are each line's two tokens in order.
     tokens = ",".join(rows).split(",")
     try:
-        return np.fromiter(map(float, tokens), dtype=float, count=len(tokens)).reshape(-1, 2)
+        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens)).reshape(-1, 2)
     except ValueError:
         _raise_first_bad_row(path, rows, is_json)
 

@@ -36,6 +36,7 @@ touched. Lexicographic comparisons read position 1 first.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import numbers
 import operator
@@ -186,6 +187,15 @@ class ProblemInstance:
     @property
     def n(self) -> int:
         return len(self.delta)
+
+    @functools.cached_property
+    def _selection_base(self) -> bytes:
+        """``flip_mask`` as ASCII '0'/'1', position 1 first: hat mask 0's selection.
+
+        Built on first use, so instances that never format a selection
+        (the engine alone, most of ``decode_best``) never pay for it.
+        """
+        return bin(self.flip_mask)[2:].zfill(self.n)[::-1].encode("ascii")
 
 
 def _positive_count(value, name: str) -> int:
@@ -452,27 +462,37 @@ def init(instance: ProblemInstance, frontier: type = PendingSet) -> EnumerationS
     return EnumerationState(instance, frontier)
 
 
+def _selection_bytes(instance: ProblemInstance, hat_mask: int) -> bytearray:
+    """Selection of a hat mask as ASCII '0'/'1' bytes, position 1 first.
+
+    Hat bit i stands for original pair ``perm[i]``, so each set bit flips
+    that one byte of a copy of the instance's base (the selection of mask
+    0): one C copy of N bytes plus O(popcount) Python steps.
+    """
+    out = bytearray(instance._selection_base)
+    perm = memoryview(instance.perm)  # indexing yields Python ints, no numpy scalars
+    m = hat_mask
+    while m:
+        low = m & -m
+        m ^= low
+        out[perm[low.bit_length() - 1]] ^= 1  # b"0" <-> b"1"
+    return out
+
+
 def denormalize(instance: ProblemInstance, combo: Combination) -> Combination:
     """Map a hat-domain combination to user-facing selection bits.
 
     Selection bit j = 1 means the second element of input pair j is chosen.
-    Undoes the gap-sort permutation, then XORs the flip mask to convert
-    the smaller/larger indicator into first/second indexing. Direction
-    needs no step here: negation affects sums only.
+    Undoes the gap-sort permutation on a copy of the flip mask, which
+    converts the smaller/larger indicator into first/second indexing (see
+    ``_selection_bytes``, which ``RankedChoice.selection_str`` shares).
+    Direction needs no step here: negation affects sums only.
     """
     if combo.n != instance.n:
         raise LengthMismatch(f"combination has {combo.n} bits, instance has {instance.n}")
-    n = instance.n
-    perm = instance.perm
-    buf = bytearray((n + 7) // 8)
-    m = combo.mask
-    while m:
-        low = m & -m
-        m ^= low
-        j = int(perm[low.bit_length() - 1])
-        buf[j >> 3] |= 1 << (j & 7)
-    indicator = int.from_bytes(bytes(buf), "little")
-    return Combination(n, indicator ^ instance.flip_mask)
+    selection = _selection_bytes(instance, combo.mask)
+    selection.reverse()  # position 1 becomes the low bit
+    return Combination(instance.n, int(selection, 2))
 
 
 class RankedChoice:
@@ -480,8 +500,10 @@ class RankedChoice:
 
     Sums are reported on the original scale (un-negated for MAX). A result
     from the enumerator keeps only its hat mask and computes the selection
-    vector on every access without storing it, so a list of results holds
-    O(K) data at any N and untouched selections cost nothing.
+    on every access without storing it, so a list of results holds O(K)
+    data at any N and untouched selections cost nothing. Every result of
+    one instance shares that instance's N-byte selection base, so
+    ``selection_str`` costs one N-byte copy and one step per set hat bit.
     """
 
     __slots__ = ("rank", "sum", "_selection", "_instance", "_hat_mask")
@@ -513,7 +535,9 @@ class RankedChoice:
         return self.selection.to_bits()
 
     def selection_str(self) -> str:
-        return self.selection.to01()
+        if self._selection is not None:
+            return self._selection.to01()
+        return _selection_bytes(self._instance, self._hat_mask).decode("ascii")
 
     def __repr__(self) -> str:
         return f"RankedChoice(rank={self.rank}, sum={self.sum!r})"

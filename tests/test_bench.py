@@ -79,6 +79,32 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed must be >= 0"):
             BenchConfig(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, False, "3", 2.0])
+    def test_seed_must_be_an_integer(self, seed):
+        # 1.5 used to pass here and fail in numpy; True ran as seed 1
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            BenchConfig(n_values=(6,), k_max=64, k_samples=4, seed=seed)
+
+    def test_seed_is_stored_as_int(self):
+        config = BenchConfig(n_values=(6,), k_max=64, k_samples=4, seed=np.int64(5))
+        assert type(config.seed) is int and config.seed == 5
+        assert {type(r.seed) for r in run_bench(config)} == {int}
+
+    @pytest.mark.parametrize("checkpoints", [
+        (2.5, 8.9), (True, 8), (2, 8.0), (0, 8), (-4, 8),
+    ], ids=["floats", "bool", "one-float", "zero", "negative"])
+    def test_checkpoints_follow_the_count_rule(self, checkpoints):
+        # (2.5, 8.9) used to truncate to [2, 8] and (True, 8) to [1, 8]
+        with pytest.raises(ValueError, match="k_checkpoints entry"):
+            BenchConfig(n_values=(6,), k_max=64, k_samples=4, k_checkpoints=checkpoints)
+
+    def test_checkpoints_are_stored_as_ints(self):
+        config = BenchConfig(n_values=(6,), k_max=64, k_samples=4,
+                             k_checkpoints=[np.int64(8), 2, np.int32(8)])
+        assert config.k_checkpoints == (8, 2, 8)
+        assert {type(k) for k in config.k_checkpoints} == {int}
+        assert checkpoints_for(config, 6) == [2, 8]
+
     def test_rejects_checkpoints_that_clip_to_nothing(self):
         with pytest.raises(ValueError, match="no checkpoints left after clipping"):
             BenchConfig(n_values=(15,), k_max=100, k_samples=5, k_checkpoints=(500,))

@@ -16,6 +16,7 @@ from pairsums.core import (
     NonFiniteInput,
     PaperFrontier,
     PendingSet,
+    RankedChoice,
     _lex_key,
     denormalize,
     init,
@@ -403,6 +404,49 @@ class TestDenormalize:
     def test_length_mismatch(self, instance):
         with pytest.raises(LengthMismatch):
             denormalize(instance, Combination(2))
+
+
+def reference_selection(instance, hat_mask: int) -> str:
+    """Frozen ``denormalize(instance, Combination(n, hat_mask)).to01()`` of its
+    bytearray/``from_bytes`` loop and ``bin`` formatting; do not edit."""
+    n = instance.n
+    perm = instance.perm
+    buf = bytearray((n + 7) // 8)
+    m = hat_mask
+    while m:
+        low = m & -m
+        m ^= low
+        j = int(perm[low.bit_length() - 1])
+        buf[j >> 3] |= 1 << (j & 7)
+    indicator = int.from_bytes(bytes(buf), "little")
+    return bin(indicator ^ instance.flip_mask)[2:].zfill(n)[::-1]
+
+
+def selection_pairs(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    if kind == "uniform":
+        return rng.random((n, 2))
+    # small integers: many equal gaps and zero gaps, about half the pairs flipped
+    return rng.integers(-3, 4, size=(n, 2)).astype(float)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 1000])
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("kind", ["uniform", "small-int"])
+def test_selection_matches_the_frozen_mapping(n, direction, kind):
+    # denormalize, selection_str and selection_bits share one hat-mask ->
+    # selection mapping; each must give the old loop's bits for any mask
+    rng = np.random.default_rng([n, len(kind), direction is Direction.MAX])
+    inst = normalize(selection_pairs(kind, n, rng), direction)
+    draw = random.Random(n * 7 + len(kind))
+    masks = [0, (1 << n) - 1, 1 << (n - 1)]
+    masks += [draw.getrandbits(n) for _ in range(20)]
+    masks += [draw.getrandbits(n) & draw.getrandbits(n) & draw.getrandbits(n) for _ in range(20)]
+    for mask in masks + [0]:  # mask 0 again: no call may have edited the shared base
+        want = reference_selection(inst, mask)
+        assert denormalize(inst, Combination(n, mask)).to01() == want
+        result = RankedChoice(1, 0.0, instance=inst, hat_mask=mask)
+        assert result.selection_str() == want
+        assert result.selection_bits() == [int(c) for c in want]
 
 
 class TestTopK:

@@ -5,6 +5,8 @@ returned a list of tuples. For every generated file the array parser must
 give the same values (compared as bytes) or the same ParseError message.
 The one intended difference: a JSON integer too large for a float made
 the row loop raise OverflowError, and ``read_pairs`` raises NonFiniteInput.
+A CSV file of plain ASCII numbers takes numpy's C reader and any other
+file ``float()``; the 5,000-row cases check both at size.
 
 ``reference_format_topk`` is likewise the ``topk`` formatter as it was when
 it returned the whole output as one string; ``main`` now writes rows as it
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairsums import cli
 from pairsums.cli import ParseError, main, read_pairs
 from pairsums.core import Direction, NonFiniteInput, top_k
 
@@ -121,8 +124,10 @@ NUMBER_TOKENS = st.one_of(
         "inf", "-Infinity", "+7", ".5", "5.", "١٢",
     ]),
 )
-BAD_TOKENS = st.sampled_from(["", "abc", "a", "0x10", "1__0", "--1", "1e", "one", "1 2"])
-PADDING = st.sampled_from(["", " ", "  ", "\t", " \t"])
+BAD_TOKENS = st.sampled_from(
+    ["", "abc", "a", "0x10", "1__0", "--1", "1e", "one", "1 2", "\x00", "\u200b"]
+)
+PADDING = st.sampled_from(["", " ", "  ", "\t", " \t", "\xa0", "\u2003", "\u3000"])
 
 
 @st.composite
@@ -165,11 +170,68 @@ def test_csv_matches_row_loop(input_file, text):
     "text",
     ["", "\n\n", "a,b\n", "a,b\n1,2\n", "1,2", " 1 , 2 \r\n3,4\r\n", "1_000,2\n",
      "nan,inf\n", "1,2\n3\n", "1,2,3\n", "1,x\n4,5,6\n", "x,1\n1,x\n",
-     "1,2,3\n4,5,6\n", "1,2,3\n4\n", "1\n2,3,4\n"],
+     "1,2,3\n4,5,6\n", "1,2,3\n4\n", "1\n2,3,4\n", "\xa01\u3000,\u20032\n",
+     # numpy's reader strips U+001F as whitespace; float() rejects it
+     "1,2\n3\x1f,4\n", "1,\x1f2\n", "a,b\x1f\n1,2\n"],
 )
 def test_csv_examples_match_row_loop(input_file, text):
     input_file.write_bytes(text.encode("utf-8"))
     assert_same_outcome(str(input_file))
+
+
+BIG_ROWS = 5000
+
+
+def big_csv_rows(replace_row=None, token=None):
+    """5,000 "a,b" lines of float reprs; row ``replace_row`` (1-based) gets ``token`` first."""
+    values = (np.random.default_rng(7).standard_normal((BIG_ROWS, 2)) * 1e3).tolist()
+    rows = [f"{a!r},{b!r}" for a, b in values]
+    if replace_row is not None:
+        rows[replace_row - 1] = f"{token},{values[replace_row - 1][1]!r}"
+    return rows
+
+
+@pytest.mark.parametrize("rows, parses", [
+    (big_csv_rows(), True),
+    (big_csv_rows(4000, "1_000"), True),
+    (big_csv_rows(4000, "\u0661\u0662"), True),
+    (big_csv_rows(4000, "1x"), False),
+    ([row + ",0" for row in big_csv_rows()], False),
+    (["5"] + big_csv_rows()[1:], False),
+], ids=["plain", "underscore", "arabic-indic", "bad-token", "three-fields", "one-column-first"])
+def test_large_csv_matches_row_loop(input_file, rows, parses):
+    input_file.write_text("\n".join(rows) + "\n")
+    assert_same_outcome(str(input_file))
+    assert isinstance(outcome(read_pairs, str(input_file)), np.ndarray) is parses
+
+
+def test_large_csv_names_the_bad_row(input_file):
+    input_file.write_text("\n".join(big_csv_rows(4000, "1x")) + "\n")
+    with pytest.raises(ParseError, match=r": row 4000: non-numeric value in \['1x', "):
+        read_pairs(str(input_file))
+
+
+def test_plain_csv_makes_no_float_call_per_token(input_file, monkeypatch):
+    # Plain ASCII numbers parse in numpy's C reader: float() runs once, for
+    # the header check. A token only float() accepts sends the whole file
+    # through float(), one call per token, with the same values.
+    calls = []
+
+    class CountingFloat(float):  # a type, like float, wherever code passes float on
+        def __new__(cls, text):
+            calls.append(text)
+            return super().__new__(cls, text)
+
+    monkeypatch.setattr(cli, "float", CountingFloat, raising=False)
+    input_file.write_text("a,b\n" + "\n".join(big_csv_rows()) + "\n")
+    read_pairs(str(input_file))
+    assert calls == ["a"]
+
+    calls.clear()
+    input_file.write_text("a,b\n" + "\n".join(big_csv_rows(4000, "1_000")) + "\n")
+    got = read_pairs(str(input_file))
+    assert len(calls) == 1 + 2 * BIG_ROWS
+    assert got.tobytes() == np.array(reference_read_pairs(str(input_file))).tobytes()
 
 
 # -- JSON -----------------------------------------------------------------
