@@ -82,24 +82,26 @@ class IndexOutOfRange(IndexError):
     """Shift index outside 1..N."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Combination:
-    """Immutable N-bit choice vector.
+    """Immutable N-bit choice vector; assigning to ``n`` or ``mask`` raises.
 
     Equality and hashing are over bit content (and length) only. Lengths,
     masks and positions may be numpy integers; floats raise TypeError.
     """
 
-    __slots__ = ("n", "mask")
+    n: int
+    mask: int = 0
 
-    def __init__(self, n: int, mask: int = 0):
-        n = operator.index(n)
-        mask = operator.index(mask)
+    def __post_init__(self):
+        n = operator.index(self.n)
+        mask = operator.index(self.mask)
         if n < 1:
             raise ValueError("combination length must be >= 1")
         if mask < 0 or mask.bit_length() > n:
             raise ValueError("mask does not fit in %d bits" % n)
-        self.n = n
-        self.mask = mask
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def from_bits(cls, bits: Sequence[int]) -> "Combination":
@@ -126,16 +128,6 @@ class Combination:
     def to01(self) -> str:
         """Bits as a '0'/'1' string, position 1 first; O(N) via ``bin``."""
         return bin(self.mask)[2:].zfill(self.n)[::-1]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Combination)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
 
     def __len__(self) -> int:
         return self.n
@@ -211,7 +203,7 @@ def _pairs_array(pairs: PairList) -> np.ndarray:
         arr = np.asarray(pairs, dtype=float)
     except OverflowError:
         raise NonFiniteInput() from None
-    except TypeError as exc:  # a generator, an iterator, a dict, an object element
+    except (TypeError, ValueError) as exc:  # an iterator, a dict, ragged rows, strings
         raise ValueError(f"pairs do not convert to a float array: {exc}") from None
     if arr.size == 0:
         raise EmptyInput("need at least one pair")

@@ -9,14 +9,17 @@ all 2^N candidates.
 
 Validators: NONE accepts everything (the argmax baseline), PARITY_EVEN
 requires an even count of one-bits over the whole string, CRC8 requires
-the last 8 bits (most-significant first) to equal the CRC of the leading
-message bits. CRC8 parameters are fixed: polynomial 0x07, init 0x00, no
-reflection, xor-out 0x00 (check value of "123456789" is 0xF4).
+the CRC of the whole string to be zero: the last 8 bits (most-significant
+first) carry the CRC of the leading message bits. CRC8 parameters are
+fixed: polynomial 0x07, init 0x00, no reflection, xor-out 0x00 (check
+value of "123456789" is 0xF4).
 
 Cost model. An acceptor answers yes or no to each candidate, and only the
 winner is mapped back to selection bits. Every Checksum kind is one GF(2)
 syndrome table, checked in the hat domain: a candidate's syndrome is a
 per-frame base syndrome XOR one table entry per set bit of its hat mask.
+For CRC8 the entries are the CRC of each one-bit word, so a word's
+syndrome is its CRC.
 That costs O(N) once per frame and O(popcount) per candidate for every
 kind (for parity that is up from the O(1) a popcount would give). A
 callable validator sees every candidate's bit list, which costs O(N) per
@@ -49,7 +52,8 @@ class Checksum(enum.Enum):
 def crc8(bits: Iterable[int]) -> int:
     """CRC-8 over a bit sequence, first bit processed first (MSB-first).
 
-    The register starts at 0, which ``crc8_syndromes`` relies on.
+    The register starts at 0 with no xor-out, which the zero-CRC check and
+    ``crc8_syndromes`` rely on.
     """
     reg = 0
     for b in bits:
@@ -65,47 +69,37 @@ def bytes_to_bits(data: bytes) -> list[int]:
 def make_validator(kind: Union[Checksum, str], n: int) -> Callable[[Sequence[int]], bool]:
     """Predicate over candidate bit lists for a checksum kind or its value ("crc8").
 
-    Raises ValueError for any other value, and when the string shape cannot
-    carry the checksum (CRC8 needs more message bits than the 8 checksum bits).
+    A CRC8 word is valid when the CRC of the word is zero. Raises ValueError
+    for any other value, InvalidK when ``n`` is not an integer >= 1, and
+    ValueError when the string shape cannot carry the checksum (CRC8 needs
+    more message bits than the 8 checksum bits).
     """
     kind = Checksum(kind)
-    if n < 1:
-        raise ValueError("need at least one bit")
+    n = _positive_count(n, "n")
     if kind is Checksum.NONE:
         return lambda bits: True
     if kind is Checksum.PARITY_EVEN:
         return lambda bits: sum(bits) % 2 == 0
     if n <= 8:  # Checksum.CRC8
         raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
-
-    def crc_ok(bits: Sequence[int]) -> bool:
-        stored = 0
-        for b in bits[-8:]:
-            stored = (stored << 1) | (b & 1)
-        return crc8(bits[:-8]) == stored
-
-    return crc_ok
+    return lambda bits: crc8(bits) == 0
 
 
 def crc8_syndromes(n: int) -> list[int]:
-    """Syndrome ``crc8(message) ^ stored`` of each single-bit N-bit word.
+    """CRC-8 of each one-bit N-bit word; entry j has its only one at position j.
 
-    Entry j belongs to the word whose only one sits at 0-based position j.
-    A message bit's syndrome is its CRC: the register after the bit is
-    set, shifted through the zero bits that follow it. A stored bit's
-    syndrome is its own weight in the stored byte. The table relies on
-    ``crc8``'s zero start: only then is the CRC linear over GF(2), so that
-    a word's syndrome is the XOR of its set bits' entries.
+    The CRC of such a word is the register after the one is fed in, shifted
+    through the zero bits that follow it. ``crc8`` starts at zero, so the CRC
+    is linear over GF(2): a word's CRC is the XOR of its set bits' entries,
+    and the word is valid when that XOR is zero.
     """
     if n <= 8:
         raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
     table = [0] * n
     reg = 0x80
-    for j in range(n - 9, -1, -1):
+    for j in range(n - 1, -1, -1):
         reg = _CRC8_STEP[reg]
         table[j] = reg
-    for t in range(8):
-        table[n - 8 + t] = 0x80 >> t
     return table
 
 
@@ -122,12 +116,12 @@ def _xor_over_bits(table: list[int], mask: int) -> int:
 def _hat_acceptor(kind: Checksum, instance: ProblemInstance) -> Callable[[int], bool]:
     """Per-frame yes/no test of hat-domain candidates, given as hat masks.
 
-    Every kind is a GF(2) syndrome table over original positions (CRC-8,
-    all ones for parity, all zeros for NONE); a word is valid when the XOR
-    of its set bits' syndromes is zero. A selection is the hat mask moved
-    back to original positions XOR ``flip_mask``, so the flip mask folds
-    into a base syndrome and each hat bit contributes its original
-    position's entry.
+    Every kind is a GF(2) syndrome table over original positions (the CRC
+    of each one-bit word for CRC-8, all ones for parity, all zeros for
+    NONE); a word is valid when the XOR of its set bits' syndromes is zero.
+    A selection is the hat mask moved back to original positions XOR
+    ``flip_mask``, so the flip mask folds into a base syndrome and each hat
+    bit contributes its original position's entry.
     """
     n = instance.n
     if kind is Checksum.CRC8:

@@ -59,6 +59,16 @@ class TestCombination:
         with pytest.raises(ValueError):
             Combination(0)
 
+    @pytest.mark.parametrize("field", ["n", "mask"])
+    def test_assignment_raises_and_set_member_stays_findable(self, field):
+        c = Combination(3, 1)
+        members = {c}
+        with pytest.raises(AttributeError):
+            setattr(c, field, 6)
+        assert (c.n, c.mask) == (3, 1) and repr(c) == "Combination('100')"
+        assert c in members and Combination(3, 1) in members
+        assert hash(c) == hash((3, 1))
+
     @pytest.mark.parametrize("integer", [int, np.int64, np.uint16], ids=lambda t: t.__name__)
     def test_numpy_integers_accepted_floats_rejected(self, integer):
         wide = Combination(100, 1 << 78)

@@ -19,6 +19,14 @@ from pairsums.oracle import brute_force_top_k
 CONF3 = [(0.1, 0.9), (0.8, 0.2), (0.6, 0.4)]
 
 
+def stored_byte_crc_ok(bits):
+    """Frozen reference: the last 8 bits, MSB first, equal the CRC of the rest."""
+    stored = 0
+    for b in bits[-8:]:
+        stored = (stored << 1) | (b & 1)
+    return crc8(bits[:-8]) == stored
+
+
 class TestCrc8:
     def test_check_value(self):
         # published check value for poly 0x07, init 0x00, non-reflected
@@ -70,6 +78,27 @@ class TestValidators:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValueError):
             make_validator(Checksum.NONE, 0)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 16.0, True, "16"], ids=repr)
+    @pytest.mark.parametrize("kind", list(Checksum))
+    def test_length_follows_the_count_rule(self, kind, n):
+        with pytest.raises(InvalidK, match="^n must be a positive integer"):
+            make_validator(kind, n)
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint16], ids=lambda t: t.__name__)
+    def test_numpy_lengths_accepted(self, integer):
+        word = bytes_to_bits(b"\xa5")
+        word += bytes_to_bits(bytes([crc8(word)]))
+        for kind in Checksum:
+            assert make_validator(kind, integer(16))(word)
+        with pytest.raises(ValueError, match="^CRC8 needs more than 8 bits, got N=8$"):
+            make_validator(Checksum.CRC8, integer(8))
+
+    def test_crc8_is_zero_crc_of_every_16_bit_word(self):
+        ok = make_validator(Checksum.CRC8, 16)
+        for w in range(1 << 16):
+            bits = [(w >> (15 - t)) & 1 for t in range(16)]
+            assert ok(bits) == stored_byte_crc_ok(bits), bits
 
     @pytest.mark.parametrize("kind", list(Checksum))
     def test_value_validates_like_the_kind(self, kind):
@@ -234,8 +263,43 @@ class TestHatDomainChecks:
         for j in range(n):
             word = [0] * n
             word[j] = 1
-            stored = int("".join(map(str, word[-8:])), 2)
-            assert table[j] == crc8(word[:-8]) ^ stored
+            assert table[j] == crc8(word)
+
+    @pytest.mark.parametrize("n", [9, 40, 256])
+    def test_table_xor_is_the_crc_of_the_word(self, n):
+        # half the words are random, half carry their message's CRC
+        rng = np.random.default_rng(n)
+        table = crc8_syndromes(n)
+        for trial in range(400):
+            word = rng.integers(0, 2, size=n).tolist()
+            if trial % 2:
+                check = crc8(word[:-8])
+                word[-8:] = [(check >> (7 - t)) & 1 for t in range(8)]
+            syndrome = decode._xor_over_bits(table, int("".join(map(str, word[::-1])), 2))
+            assert syndrome == crc8(word)
+            assert (syndrome == 0) == stored_byte_crc_ok(word)
+
+    def test_crc8_frames_match_callable_at_frame_size(self):
+        # 256-bit frames as in the benchmark: CRC-valid words sent as BPSK
+        # over AWGN, then rounded-uniform confidences with many exact ties
+        rng = np.random.default_rng(256)
+        frames = []
+        for snr_db in (2.0, 3.0, 4.0, 5.0) * 4:
+            message = rng.integers(0, 2, size=248).tolist()
+            check = crc8(message)
+            word = message + [(check >> (7 - t)) & 1 for t in range(8)]
+            sigma2 = 256 / (2.0 * 248 * 10.0 ** (snr_db / 10.0))
+            y = 1.0 - 2.0 * np.asarray(word, dtype=float)
+            y += rng.standard_normal(256) * sigma2**0.5
+            frames.append(np.column_stack((-((y - 1.0) ** 2), -((y + 1.0) ** 2))))
+        frames += [rng.random((256, 2)).round(1) for _ in range(4)]
+        validator = make_validator(Checksum.CRC8, 256)
+        outcomes = set()
+        for conf in frames:
+            got = decode_best(conf, Checksum.CRC8, 600)
+            assert got == decode_best(conf, validator, 600)
+            outcomes.add(got.found)
+        assert outcomes == {True, False}  # both the hit and the budget paths ran
 
     def test_crc8_denormalizes_only_the_accepted_candidate(self, monkeypatch):
         calls = []

@@ -73,11 +73,15 @@ def test_k_zero_rejected():
         ((p for p in [(1, 5), (2, 3)]), ValueError),
         (iter([[1, 2]]), ValueError),
         ({1: 2}, ValueError),
+        ([[1, 2], [3]], ValueError),
+        ([["a", "b"]], ValueError),
     ],
 )
 def test_bad_pairs_raise_the_engine_errors(pairs, error):
+    # conversion failures name themselves; the other errors keep their text
+    match = "^pairs do not convert to a float array: " if error is ValueError else None
     for rank in (top_k, brute_force_top_k):
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             rank(pairs, 1)
 
 
