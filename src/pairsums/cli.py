@@ -7,12 +7,12 @@ too large for a float).
 Input files hold one number pair per line as "a,b" (an optional header
 line is detected by a non-numeric first token), or JSON of the form
 {"pairs": [[a, b], ...]}. The decode input uses the same shape with one
-confidence pair per bit. ``read_pairs`` parses either into one (N, 2)
-float64 array, which the engine takes without another conversion. A CSV
-number is any text ``float()`` accepts: a file of plain ASCII numbers is
-read by numpy's C reader, with no Python call per token, and any other
-file by ``float()``; both give the same values. A leading UTF-8
-byte-order mark is ignored.
+confidence pair per bit. ``read_pairs`` hands the text to one reader per
+format; each gives one (N, 2) float64 array, which the engine takes as it
+is, or names the file's first bad row. A CSV number is any text ``float()``
+accepts: plain ASCII numbers go through numpy's C reader, with no Python
+call per token, and any other file through ``float()``, one row at a time;
+both give the same values. A leading UTF-8 byte-order mark is ignored.
 
 Each subcommand writes into its destination, opened once. ``topk`` writes
 each row as it is formatted, so memory does not grow with k; a reader
@@ -29,7 +29,7 @@ import dataclasses
 import functools
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -75,9 +75,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
-_NUMBER_TYPES = {int, float}
-
-
 def read_pairs(path: str) -> np.ndarray:
     """Load (a, b) rows from a CSV or JSON file as an (N, 2) float64 array.
 
@@ -90,35 +87,45 @@ def read_pairs(path: str) -> np.ndarray:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    is_json = text.lstrip().startswith("{")
-    if is_json:
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: bad JSON: {exc}")
-        rows = obj.get("pairs")
-        if not isinstance(rows, list):
-            raise ParseError(f'{path}: JSON must carry a "pairs" list')
-        if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}):
-            _raise_first_bad_row(path, rows, is_json)
-        flat = list(chain.from_iterable(rows))
-        # type(), not isinstance: JSON true/false must not pass as 1/0.
-        if not set(map(type, flat)) <= _NUMBER_TYPES:
-            _raise_first_bad_row(path, rows, is_json)
-    else:
-        rows = list(filter(str.strip, text.splitlines()))
-        if rows:
-            try:
-                float(rows[0].partition(",")[0])
-            except ValueError:
-                del rows[0]  # header line
+    if text.lstrip().startswith("{"):
+        return _json_pairs(path, text)
+    return _csv_pairs(path, text)
+
+
+def _json_pairs(path: str, text: str) -> np.ndarray:
+    """Parse {"pairs": [[a, b], ...]}: C-speed scans, then a row walk only on failure."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: bad JSON: {exc}")
+    rows = obj.get("pairs")
+    if not isinstance(rows, list):
+        raise ParseError(f'{path}: JSON must carry a "pairs" list')
     if not rows:
         raise ParseError(f"{path}: no data rows")
-    if is_json:
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {2}:
+        flat = list(chain.from_iterable(rows))
+        # type(), not isinstance: JSON true/false must not pass as 1/0.
+        if set(map(type, flat)) <= {int, float}:
+            try:
+                return np.fromiter(flat, np.float64, count=len(flat)).reshape(-1, 2)
+            except OverflowError:
+                raise NonFiniteInput() from None
+    for idx, row in enumerate(rows, start=1):
+        if not (type(row) is list and len(row) == 2 and set(map(type, row)) <= {int, float}):
+            raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
+
+
+def _csv_pairs(path: str, text: str) -> np.ndarray:
+    """Parse "a,b" lines, skipping blank lines and a header (a non-numeric first token)."""
+    rows = list(filter(str.strip, text.splitlines()))
+    if rows:
         try:
-            return np.fromiter(flat, np.float64, count=len(flat)).reshape(-1, 2)
-        except OverflowError:
-            raise NonFiniteInput() from None
+            float(rows[0].partition(",")[0])
+        except ValueError:
+            del rows[0]  # header line
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
     # numpy's C reader gives float()'s values for plain ASCII numbers. What
     # it rejects (1_000, non-ASCII digits, a bad token, a wrong field count)
     # goes through float() below, which also names the first bad row. It
@@ -131,30 +138,16 @@ def read_pairs(path: str) -> np.ndarray:
         else:
             if values.shape == (len(rows), 2):
                 return values
-    if set(map(str.count, rows, repeat(","))) - {1}:
-        _raise_first_bad_row(path, rows, is_json)
-    # One comma per line, so these are each line's two tokens in order.
-    tokens = ",".join(rows).split(",")
-    try:
-        return np.fromiter(map(float, tokens), dtype=np.float64, count=len(tokens)).reshape(-1, 2)
-    except ValueError:
-        _raise_first_bad_row(path, rows, is_json)
-
-
-def _raise_first_bad_row(path: str, rows: list, is_json: bool) -> None:
-    """Walk JSON rows or CSV lines in order and raise the first one's ParseError."""
+    flat = []
     for idx, row in enumerate(rows, start=1):
-        if is_json:
-            if not (type(row) is list and len(row) == 2 and set(map(type, row)) <= _NUMBER_TYPES):
-                raise ParseError(f"{path}: row {idx}: expected [a, b] numbers, got {row!r}")
-            continue
         tokens = row.split(",")
         if len(tokens) != 2:
             raise ParseError(f"{path}: row {idx}: expected two values, got {len(tokens)}")
         try:
-            float(tokens[0]), float(tokens[1])
+            flat += float(tokens[0]), float(tokens[1])
         except ValueError:
             raise ParseError(f"{path}: row {idx}: non-numeric value in {tokens!r}")
+    return np.array(flat, dtype=np.float64).reshape(-1, 2)
 
 
 def _output(path: str):

@@ -71,7 +71,7 @@ class EmptyInput(ValueError):
 
 
 class LengthMismatch(ValueError):
-    """Combination length does not match the instance size."""
+    """A bit string's length does not match the N it is used with (instance or validator)."""
 
 
 class InvalidK(ValueError):
@@ -158,9 +158,9 @@ def lex_less(a: Combination, b: Combination) -> bool:
 Entry = tuple[float, bytes, int]  # a frontier entry: (sum, _lex_key(mask), mask)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """Normalized problem, immutable after construction.
+    """Normalized problem, immutable after construction; compared by identity.
 
     ``delta`` holds the gaps in ascending order and ``perm[i]`` is the
     0-based original pair index stored at sorted position i (both are

@@ -34,7 +34,7 @@ from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .core import Combination, Direction, ProblemInstance, denormalize, init, normalize
-from .core import _positive_count
+from .core import LengthMismatch, _positive_count
 
 CRC8_POLY = 0x07
 # _CRC8_STEP[r]: register r after one shift with a zero bit fed in
@@ -72,17 +72,22 @@ def make_validator(kind: Union[Checksum, str], n: int) -> Callable[[Sequence[int
     A CRC8 word is valid when the CRC of the word is zero. Raises ValueError
     for any other value, InvalidK when ``n`` is not an integer >= 1, and
     ValueError when the string shape cannot carry the checksum (CRC8 needs
-    more message bits than the 8 checksum bits).
+    more message bits than the 8 checksum bits). The predicate raises
+    LengthMismatch on a word that is not ``n`` bits long.
     """
     kind = Checksum(kind)
     n = _positive_count(n, "n")
-    if kind is Checksum.NONE:
-        return lambda bits: True
-    if kind is Checksum.PARITY_EVEN:
-        return lambda bits: sum(bits) % 2 == 0
-    if n <= 8:  # Checksum.CRC8
+    if kind is Checksum.CRC8 and n <= 8:
         raise ValueError(f"CRC8 needs more than 8 bits, got N={n}")
-    return lambda bits: crc8(bits) == 0
+
+    def validator(bits: Sequence[int]) -> bool:
+        if len(bits) != n:
+            raise LengthMismatch(f"word has {len(bits)} bits, validator has {n}")
+        if kind is Checksum.CRC8:
+            return crc8(bits) == 0
+        return kind is Checksum.NONE or sum(bits) % 2 == 0
+
+    return validator
 
 
 def crc8_syndromes(n: int) -> list[int]:

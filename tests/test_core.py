@@ -196,6 +196,11 @@ class TestNormalize:
         with pytest.raises(ValueError):
             instance.perm[0] = 99
 
+    def test_instances_compare_by_identity(self):
+        a, b = normalize(PAIRS, Direction.MIN), normalize(PAIRS, Direction.MIN)
+        assert a == a and a != b
+        assert {a, b, a} == {a, b} and a in {a} and b not in {a}
+
 
 class TestScore:
     def test_all_zeros_is_base_sum(self, instance):

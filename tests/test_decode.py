@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pairsums import decode
-from pairsums.core import Direction, InvalidK, NonFiniteInput, normalize
+from pairsums.core import Direction, InvalidK, LengthMismatch, NonFiniteInput, normalize
 from pairsums.decode import (
     Checksum,
     DecodeResult,
@@ -117,6 +117,21 @@ class TestValidators:
     def test_unknown_value_rejected(self):
         with pytest.raises(ValueError, match="'crc9' is not a valid Checksum"):
             make_validator("crc9", 16)
+
+    @pytest.mark.parametrize("kind", list(Checksum))
+    def test_word_of_another_length_raises(self, kind):
+        ok = make_validator(kind, 16)
+        for length in (15, 17):
+            with pytest.raises(LengthMismatch, match=f"^word has {length} bits, validator has 16$"):
+                ok([0] * length)
+        assert ok([0] * 16)
+
+    @pytest.mark.parametrize("kind", list(Checksum))
+    def test_decode_with_a_validator_for_another_n_raises(self, kind):
+        conf = np.random.default_rng(12).random((12, 2))
+        for n in (11, 13):
+            with pytest.raises(LengthMismatch):
+                decode_best(conf, make_validator(kind, n))
 
 
 class TestDecodeBest:

@@ -6,7 +6,8 @@ give the same values (compared as bytes) or the same ParseError message.
 The one intended difference: a JSON integer too large for a float made
 the row loop raise OverflowError, and ``read_pairs`` raises NonFiniteInput.
 A CSV file of plain ASCII numbers takes numpy's C reader and any other
-file ``float()``; the 5,000-row cases check both at size.
+file ``float()``; the 5,000-row cases check both at size, and the JSON
+reader's C-speed scans and its walk to a bad row at row 4,000.
 
 ``reference_format_topk`` is likewise the ``topk`` formatter as it was when
 it returned the whole output as one string; ``main`` now writes rows as it
@@ -285,6 +286,24 @@ def test_json_matches_row_loop(input_file, rows, lead):
 def test_json_examples_match_row_loop(input_file, text):
     input_file.write_text(text)
     assert_same_outcome(str(input_file))
+
+
+@pytest.mark.parametrize("bad_row, raises", [
+    (None, None), (True, ParseError), ("1", ParseError), ([1], ParseError),
+    ([1, 2, 3], ParseError), ({"a": 1}, ParseError), ([True, 1], ParseError),
+    ([1, "1"], ParseError), ([10**400, 1], NonFiniteInput),
+], ids=["valid", "bare-true", "bare-string", "short", "long", "object", "true-value",
+        "string-value", "10**400"])
+def test_large_json_matches_row_loop(input_file, bad_row, raises):
+    rows = (np.random.default_rng(8).standard_normal((BIG_ROWS, 2)) * 1e3).tolist()
+    if bad_row is not None:
+        rows[3999] = bad_row
+    input_file.write_text(json.dumps({"pairs": rows}))
+    assert_same_outcome(str(input_file))
+    got = outcome(read_pairs, str(input_file))
+    assert type(got) is (raises or np.ndarray)
+    if raises is ParseError:
+        assert str(got).endswith(f": row 4000: expected [a, b] numbers, got {bad_row!r}")
 
 
 def test_missing_file_matches_row_loop(tmp_path):
