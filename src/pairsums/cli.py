@@ -38,6 +38,8 @@ import numpy as np
 from .bench import (
     BenchConfig,
     DegenerateFit,
+    LinearFit,
+    QuadraticFit,
     fit_pending_linear,
     fit_quadratic,
     run_bench,
@@ -85,7 +87,7 @@ def read_pairs(path: str) -> np.ndarray:
     """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")  # drops a leading BOM
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     if text.lstrip().startswith("{"):
         return _json_pairs(path, text)
@@ -227,11 +229,11 @@ def cmd_bench(args) -> int:
     if args.fit:
         by_n = [(n, [r for r in records if r.n == n]) for n in config.n_values]
         blocks = (
-            ("time", "n,c2,c1,c0,r_squared", fit_quadratic),
-            ("pending", "n,m1,m0,r_squared", fit_pending_linear),
+            ("time", QuadraticFit, fit_quadratic),
+            ("pending", LinearFit, fit_pending_linear),
         )
-        for label, header, fit_rows in blocks:
-            print(header)
+        for label, fit_type, fit_rows in blocks:
+            print("n," + ",".join(fit_type._fields))
             for n, rows in by_n:
                 try:
                     fit = fit_rows(rows)
@@ -309,4 +311,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

@@ -490,36 +490,24 @@ def denormalize(instance: ProblemInstance, combo: Combination) -> Combination:
 class RankedChoice:
     """One emitted result: 1-based rank, sum, and selection bits.
 
-    Sums are reported on the original scale (un-negated for MAX). A result
-    from the enumerator keeps only its hat mask and computes the selection
-    on every access without storing it, so a list of results holds O(K)
-    data at any N and untouched selections cost nothing. Every result of
-    one instance shares that instance's N-byte selection base, so
+    Sums are reported on the original scale (un-negated for MAX). Every
+    result keeps its instance and hat mask and computes the selection on
+    every access without storing it, so a list of results holds O(K) data
+    at any N and untouched selections cost nothing. Every result of one
+    instance shares that instance's N-byte selection base, so
     ``selection_str`` costs one N-byte copy and one step per set hat bit.
     """
 
-    __slots__ = ("rank", "sum", "_selection", "_instance", "_hat_mask")
+    __slots__ = ("rank", "sum", "_instance", "_hat_mask")
 
-    def __init__(
-        self,
-        rank: int,
-        sum: float,
-        selection: Optional[Combination] = None,
-        instance: Optional[ProblemInstance] = None,
-        hat_mask: Optional[int] = None,
-    ):
-        if selection is None and (instance is None or hat_mask is None):
-            raise ValueError("need either selection or (instance, hat_mask)")
+    def __init__(self, rank: int, sum: float, instance: ProblemInstance, hat_mask: int):
         self.rank = rank
         self.sum = sum
-        self._selection = selection
         self._instance = instance
         self._hat_mask = hat_mask
 
     @property
     def selection(self) -> Combination:
-        if self._selection is not None:
-            return self._selection
         inst = self._instance
         return denormalize(inst, Combination(inst.n, self._hat_mask))
 
@@ -527,8 +515,6 @@ class RankedChoice:
         return self.selection.to_bits()
 
     def selection_str(self) -> str:
-        if self._selection is not None:
-            return self._selection.to01()
         return _selection_bytes(self._instance, self._hat_mask).decode("ascii")
 
     def __repr__(self) -> str:
@@ -543,7 +529,7 @@ def iter_top(
     instance = normalize(pairs, direction)
     negated = direction is Direction.MAX  # 0.0 - total is exact and never -0.0
     return (
-        RankedChoice(rank, 0.0 - total if negated else total, instance=instance, hat_mask=mask)
+        RankedChoice(rank, 0.0 - total if negated else total, instance, mask)
         for rank, (total, mask) in enumerate(init(instance), start=1)
     )
 

@@ -1,16 +1,17 @@
 """Exhaustive reference ranking, used as ground truth in tests.
 
-Enumerates all 2^N sums with vectorized from-scratch arithmetic (it shares
-only the input checks with the best-first path in ``core``), sorts them,
-and returns the first k. Deliberately naive: capped at N <= 24, where the
-full table still fits in memory and desk-scale time.
+Enumerates all 2^N sums with vectorized from-scratch arithmetic, sorts
+them, and returns the first k. It shares the input checks and the result
+type with the best-first path in ``core``; its sums and its order are its
+own. Deliberately naive: capped at N <= 24, where the full table still
+fits in memory and desk-scale time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import Combination, Direction, RankedChoice, _pairs_array, _positive_count
+from .core import Direction, ProblemInstance, RankedChoice, _pairs_array, _positive_count
 
 
 class TooLarge(ValueError):
@@ -57,10 +58,9 @@ def brute_force_top_k(
     keyed = -sums if direction is Direction.MAX else sums
     order = np.lexsort((_lex_rank_keys(n), keyed))
     k = min(k, 1 << n)
-    out = []
-    for rank, mask in enumerate(order[:k], start=1):
-        mask = int(mask)
-        out.append(
-            RankedChoice(rank, float(sums[mask]), selection=Combination(n, mask))
-        )
-    return out
+    # no sort, no flips: each result's hat mask is its selection mask
+    identity = ProblemInstance(delta=np.zeros(n), perm=np.arange(n), flip_mask=0, s1=0.0)
+    return [
+        RankedChoice(rank, float(sums[mask]), identity, int(mask))
+        for rank, mask in enumerate(order[:k], start=1)
+    ]

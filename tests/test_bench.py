@@ -48,6 +48,8 @@ class TestConfig:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             BenchConfig(n_values=(0,))
+        with pytest.raises(ValueError, match="n_values must be non-empty"):
+            BenchConfig(n_values=())
 
     def test_rejects_repeated_n(self):
         with pytest.raises(ValueError, match="n_values must not repeat"):
@@ -196,6 +198,8 @@ class TestFits:
     def test_too_few_points_degenerate(self):
         with pytest.raises(DegenerateFit):
             fit_quadratic(synthetic((1e-8, 0, 0), [5, 5, 5]))
+        with pytest.raises(DegenerateFit, match="no records"):
+            fit_quadratic([])
 
     def test_exact_fits_are_degenerate(self):
         # degree + 1 distinct K give a curve through every point (R^2 = 1)

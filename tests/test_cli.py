@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -94,6 +95,16 @@ class TestReadPairs:
     def test_missing_file_rejected(self):
         with pytest.raises(ParseError):
             read_pairs("/no/such/file.csv")
+
+    def test_file_that_is_not_utf8_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"1,2\n\xff\xfe,3\n")
+        with pytest.raises(ParseError, match=f"^cannot read {re.escape(str(path))}: "):
+            read_pairs(str(path))
+        assert main(["topk", "--input", str(path), "--k", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+        assert captured.out == ""
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -230,6 +241,14 @@ class TestTopkCommand:
 
     def test_k_zero_is_usage_error(self, pairs_file):
         assert main(["topk", "--input", pairs_file, "--k", "0"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["topk", "--input", "p.csv", "--k", "x"], "argument --k: not an integer: 'x'"),
+        (["bench", "--n", "1,x"], "argument --n: not a comma-separated int list: '1,x'"),
+    ], ids=["k", "n-list"])
+    def test_non_integer_argument_is_usage_error(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.rstrip().endswith(message)
 
     def test_unknown_flag_is_usage_error(self, pairs_file):
         assert main(["topk", "--input", pairs_file, "--k", "1", "--wat"]) == 2

@@ -59,6 +59,23 @@ class TestCombination:
         with pytest.raises(ValueError):
             Combination(0)
 
+    @pytest.mark.parametrize("mask", [8, -1])
+    def test_mask_must_fit(self, mask):
+        with pytest.raises(ValueError, match="mask does not fit in 3 bits"):
+            Combination(3, mask)
+
+    def test_from_bits_rejects_other_values(self):
+        with pytest.raises(ValueError, match="bits must be 0 or 1"):
+            Combination.from_bits([0, 2])
+
+    @pytest.mark.parametrize("i", [0, 4])
+    def test_bit_out_of_range(self, i):
+        with pytest.raises(IndexOutOfRange):
+            Combination(3).bit(i)
+
+    def test_len_is_n(self):
+        assert len(Combination(5)) == 5
+
     @pytest.mark.parametrize("field", ["n", "mask"])
     def test_assignment_raises_and_set_member_stays_findable(self, field):
         c = Combination(3, 1)
@@ -513,6 +530,9 @@ class TestTopK:
     def test_iter_top_rejects_bad_input_at_the_call(self, pairs, error):
         with pytest.raises(error):
             iter_top(pairs)
+
+    def test_repr_shows_rank_and_sum(self):
+        assert repr(top_k(PAIRS, 1)[0]) == "RankedChoice(rank=1, sum=3.0)"
 
     def test_selection_is_not_stored(self):
         results = top_k(np.random.default_rng(4).random((5000, 2)), 1000)

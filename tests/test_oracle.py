@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,31 @@ def test_bad_pairs_raise_the_engine_errors(pairs, error):
     for rank in (top_k, brute_force_top_k):
         with pytest.raises(error, match=match):
             rank(pairs, 1)
+
+
+@pytest.mark.parametrize("pairs", [[(1, 2, 3)], [1.0, 2.0]], ids=["three-wide", "flat"])
+def test_wrong_shape_raises_in_both_rankers(pairs):
+    for rank in (top_k, brute_force_top_k):
+        with pytest.raises(ValueError, match=r"^expected shape \(N, 2\), got "):
+            rank(pairs, 1)
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_matches_an_itertools_enumeration(n, direction):
+    # reference built without engine code: every bit tuple, sorted by
+    # (sum, or -sum for MAX, then the tuple read from position 1)
+    pairs = np.random.default_rng(n).integers(-4, 5, size=(n, 2)).tolist()
+    sign = -1 if direction is Direction.MAX else 1
+    want = sorted(
+        (sign * sum(p[b] for p, b in zip(pairs, bits)), bits)
+        for bits in itertools.product((0, 1), repeat=n)
+    )
+    got = brute_force_top_k(pairs, 2**n, direction)
+    assert [(r.rank, r.sum, r.selection_str(), r.selection_bits()) for r in got] == [
+        (rank, sign * key, "".join(map(str, bits)), list(bits))
+        for rank, (key, bits) in enumerate(want, start=1)
+    ]
 
 
 def test_tie_handling():
