@@ -16,9 +16,7 @@ from .core import (
     denormalize,
     init,
     iter_top,
-    lex_less,
     normalize,
-    score,
     shift,
     successors,
     top_k,
@@ -43,9 +41,7 @@ __all__ = [
     "denormalize",
     "init",
     "iter_top",
-    "lex_less",
     "normalize",
-    "score",
     "shift",
     "successors",
     "top_k",

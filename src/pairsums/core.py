@@ -15,9 +15,13 @@ Successor moves: a single shift either sets bit 1 (position of the smallest
 gap) or moves a set bit from position i-1 to position i. Because delta is
 ascending, shifts never decrease the sum, so best-first search over the
 shift graph, seeded with the all-zeros vector, emits combinations in sum
-order. The frontier ("pending set") pops (sum, key, mask) entries in tuple
-order, and the ``bytes`` key breaks sum ties by lexicographic bits (see
-``_lex_key``). Two frontiers pop in that same order:
+order. ``successors`` states the move rule as a reference; the serving
+step, ``EnumerationState.advance``, writes the same moves out and tests
+each child against ``seen`` before it computes that child's sum or key,
+since most children a step offers were generated before. The frontier
+("pending set") pops (sum, key, mask) entries in tuple order, and the
+``bytes`` key breaks sum ties by lexicographic bits (see ``_lex_key``).
+Two frontiers pop in that same order:
 
 - ``PendingSet``, the default, is a binary heap: each pop and each push
   costs O(log |P|), so K results cost O(K log K) frontier work. Every
@@ -103,16 +107,6 @@ class Combination:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_bits(cls, bits: Sequence[int]) -> "Combination":
-        """Build from a sequence of 0/1 values, position 1 first."""
-        mask = 0
-        for j, b in enumerate(bits):
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            mask |= operator.index(b) << j
-        return cls(len(bits), mask)
-
     def bit(self, i: int) -> int:
         """Value at 1-based position i."""
         i = operator.index(i)
@@ -148,11 +142,6 @@ def _lex_key(mask: int) -> bytes:
     to a smaller mask.
     """
     return mask.to_bytes((mask.bit_length() + 7) >> 3, "little").translate(_BIT_REVERSED)
-
-
-def lex_less(a: Combination, b: Combination) -> bool:
-    """True if a precedes b lexicographically (position 1 most significant)."""
-    return _lex_key(a.mask) < _lex_key(b.mask)
 
 
 Entry = tuple[float, bytes, int]  # a frontier entry: (sum, _lex_key(mask), mask)
@@ -252,20 +241,6 @@ def normalize(pairs: PairList, direction: Direction = Direction.MIN) -> ProblemI
     return ProblemInstance(delta=delta, perm=perm, flip_mask=flip_mask, s1=s1)
 
 
-def score(instance: ProblemInstance, combo: Combination) -> float:
-    """Sum of combo from scratch: s1 plus delta over set bits."""
-    if combo.n != instance.n:
-        raise LengthMismatch(f"combination has {combo.n} bits, instance has {instance.n}")
-    total = instance.s1
-    delta = instance.delta
-    m = combo.mask
-    while m:
-        low = m & -m
-        m ^= low
-        total += delta[low.bit_length() - 1]
-    return float(total)
-
-
 def shift(combo: Combination, i: int) -> Combination:
     """Apply the single-shift move at position i.
 
@@ -290,33 +265,23 @@ def shift(combo: Combination, i: int) -> Combination:
     return combo if new == m else Combination(n, new)
 
 
-def _child_moves(mask: int, n: int) -> Iterator[tuple[int, int]]:
-    """Yield (child_mask, k) for every single shift that alters ``mask``.
-
-    k is the 0-based landing bit: k = 0 means position 1 was set (apply
-    delta[0]); k >= 1 means a one moved from bit k-1 to bit k (apply
-    delta[k] - delta[k-1]). Children are pairwise distinct by construction:
-    each consumes a different landing bit.
-    """
-    if not mask & 1:
-        yield mask | 1, 0
-    pattern = (mask << 1) & ~mask
-    while pattern:
-        low = pattern & -pattern
-        pattern ^= low
-        k = low.bit_length() - 1
-        if k >= n:
-            break
-        yield mask ^ (low | (low >> 1)), k
-
-
 def successors(combo: Combination) -> list[Combination]:
     """All combinations one shift away from combo, excluding combo itself.
 
-    Pairwise distinct; at most ceil(N/2) of them.
+    The reference statement of the move rule (``EnumerationState.advance``
+    writes the same moves out inline): set position 1 if it is clear, then
+    move each one whose next position is clear up by one. Pairwise distinct,
+    since each child lands on a different bit; at most ceil(N/2) of them.
     """
     n = combo.n
-    return [Combination(n, m) for m, _ in _child_moves(combo.mask, n)]
+    mask = combo.mask
+    out = [] if mask & 1 else [Combination(n, mask | 1)]
+    pattern = (mask << 1) & ~mask & ((1 << n) - 1)  # landing bits of the moves
+    while pattern:
+        low = pattern & -pattern
+        pattern ^= low
+        out.append(Combination(n, mask ^ (low | (low >> 1))))
+    return out
 
 
 class PendingSet:
@@ -400,7 +365,7 @@ class EnumerationState:
     advance concurrently on one state.
     """
 
-    __slots__ = ("instance", "pending", "seen", "emitted_count", "_delta")
+    __slots__ = ("instance", "pending", "seen", "emitted_count", "_delta", "_n")
 
     def __init__(self, instance: ProblemInstance, frontier: type = PendingSet):
         self.instance = instance
@@ -409,29 +374,44 @@ class EnumerationState:
         self.emitted_count = 0
         # O(1) view of the gaps, no copy; indexing it yields Python floats
         self._delta = memoryview(instance.delta)
+        self._n = instance.n
         self.pending.insert_batch([(instance.s1, _lex_key(0), 0)])
 
     def advance(self) -> Optional[tuple[float, int]]:
         """Emit the next ``(sum, hat mask)`` in sum order, or None when exhausted.
 
-        Extract-min, then generate all unseen successors with incrementally
-        computed sums and insert them into the frontier. The sum is on the
-        instance's scale (negated for MAX); no ``Combination`` is built.
+        Extract-min, then insert every unseen successor into the frontier
+        with an incrementally computed sum. The moves are those of
+        ``successors``, written out: a child already in ``seen`` costs one
+        set lookup, and only a new child gets its landing bit, sum and key.
+        The sum is on the instance's scale (negated for MAX); no
+        ``Combination`` is built.
         """
         entry = self.pending.extract_min()
         if entry is None:
             return None
         total, _, mask = entry
-        n = self.instance.n
+        n = self._n
         seen = self.seen
         delta = self._delta
         batch = []
-        for child, k in _child_moves(mask, n):
+        if not mask & 1:  # set position 1: the sum grows by delta[0]
+            child = mask | 1
             if child not in seen:
                 seen.add(child)
-                # the sum increment for landing bit k (see _child_moves)
-                step = delta[k] - delta[k - 1] if k else delta[0]
-                batch.append((total + step, _lex_key(child), child))
+                batch.append((total + delta[0], _lex_key(child), child))
+        # move a one from bit k-1 to a clear bit k: the sum grows by delta[k] - delta[k-1]
+        pattern = (mask << 1) & ~mask
+        while pattern:
+            low = pattern & -pattern
+            pattern ^= low
+            child = mask ^ (low | (low >> 1))
+            if child not in seen:  # a child landing on bit n is never seen, and stops here
+                k = low.bit_length() - 1
+                if k >= n:
+                    break
+                seen.add(child)
+                batch.append((total + (delta[k] - delta[k - 1]), _lex_key(child), child))
         if batch:
             self.pending.insert_batch(batch)
         self.emitted_count += 1

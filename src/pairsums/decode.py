@@ -61,11 +61,6 @@ def crc8(bits: Iterable[int]) -> int:
     return reg
 
 
-def bytes_to_bits(data: bytes) -> list[int]:
-    """Expand bytes to bits, most significant bit of each byte first."""
-    return [(byte >> (7 - t)) & 1 for byte in data for t in range(8)]
-
-
 def make_validator(kind: Union[Checksum, str], n: int) -> Callable[[Sequence[int]], bool]:
     """Predicate over candidate bit lists for a checksum kind or its value ("crc8").
 

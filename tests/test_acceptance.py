@@ -10,18 +10,18 @@ import time
 import numpy as np
 import pytest
 
+from conftest import bytes_to_bits, score
 from pairsums.bench import BenchConfig, fit_pending_linear, fit_quadratic, run_bench
 from pairsums.core import (
     Combination,
     Direction,
     init,
     normalize,
-    score,
     shift,
     successors,
     top_k,
 )
-from pairsums.decode import Checksum, bytes_to_bits, crc8, decode_best, make_validator
+from pairsums.decode import Checksum, crc8, decode_best, make_validator
 from pairsums.oracle import brute_force_top_k
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import from_bits, score
 from pairsums.core import (
     Combination,
     Direction,
@@ -21,9 +22,7 @@ from pairsums.core import (
     denormalize,
     init,
     iter_top,
-    lex_less,
     normalize,
-    score,
     shift,
     successors,
     top_k,
@@ -33,6 +32,11 @@ from pairsums.oracle import brute_force_top_k
 PAIRS = [(1, 5), (2, 3), (0, 4)]  # gaps 4, 1, 4
 
 
+def lex_less(a: Combination, b: Combination) -> bool:
+    """True if a precedes b lexicographically (position 1 most significant)."""
+    return _lex_key(a.mask) < _lex_key(b.mask)
+
+
 @pytest.fixture
 def instance():
     return normalize(PAIRS, Direction.MIN)
@@ -40,20 +44,20 @@ def instance():
 
 class TestCombination:
     def test_from_bits_roundtrip(self):
-        c = Combination.from_bits([1, 0, 1, 1])
+        c = from_bits([1, 0, 1, 1])
         assert c.to_bits() == [1, 0, 1, 1]
         assert c.to01() == "1011"
         assert c.n == 4
 
     def test_bit_is_one_based(self):
-        c = Combination.from_bits([1, 0, 1])
+        c = from_bits([1, 0, 1])
         assert [c.bit(i) for i in (1, 2, 3)] == [1, 0, 1]
 
     def test_equality_and_hash(self):
-        a = Combination.from_bits([0, 1])
-        b = Combination.from_bits([0, 1])
+        a = from_bits([0, 1])
+        b = from_bits([0, 1])
         assert a == b and hash(a) == hash(b)
-        assert a != Combination.from_bits([0, 1, 0])  # length matters
+        assert a != from_bits([0, 1, 0])  # length matters
 
     def test_zero_length_rejected(self):
         with pytest.raises(ValueError):
@@ -66,7 +70,7 @@ class TestCombination:
 
     def test_from_bits_rejects_other_values(self):
         with pytest.raises(ValueError, match="bits must be 0 or 1"):
-            Combination.from_bits([0, 2])
+            from_bits([0, 2])
 
     @pytest.mark.parametrize("i", [0, 4])
     def test_bit_out_of_range(self, i):
@@ -93,7 +97,7 @@ class TestCombination:
         assert c == Combination(3, 5) and type(c.n) is int and type(c.mask) is int
         assert wide.bit(integer(79)) == 1 and wide.bit(integer(78)) == 0
         assert shift(wide, integer(80)).mask == 1 << 79
-        assert Combination.from_bits(np.ones(70, dtype=integer)).mask == (1 << 70) - 1
+        assert from_bits(np.ones(70, dtype=integer)).mask == (1 << 70) - 1
         for bad in (lambda: Combination(3, 5.0), lambda: wide.bit(79.0),
                     lambda: shift(wide, 80.0)):
             with pytest.raises(TypeError):
@@ -115,13 +119,13 @@ class TestCombination:
 
 class TestLexOrder:
     def test_position_one_most_significant(self):
-        a = Combination.from_bits([0, 1, 1])
-        b = Combination.from_bits([1, 0, 0])
+        a = from_bits([0, 1, 1])
+        b = from_bits([1, 0, 0])
         assert lex_less(a, b)
         assert not lex_less(b, a)
 
     def test_irreflexive(self):
-        c = Combination.from_bits([1, 0, 1])
+        c = from_bits([1, 0, 1])
         assert not lex_less(c, c)
 
     def test_key_total_order_matches_bit_tuples(self):
@@ -224,10 +228,10 @@ class TestScore:
         assert score(instance, Combination(3)) == 3
 
     def test_single_bit(self, instance):
-        assert score(instance, Combination.from_bits([1, 0, 0])) == 4
+        assert score(instance, from_bits([1, 0, 0])) == 4
 
     def test_all_ones(self, instance):
-        assert score(instance, Combination.from_bits([1, 1, 1])) == 12
+        assert score(instance, from_bits([1, 1, 1])) == 12
 
     def test_length_mismatch(self, instance):
         with pytest.raises(LengthMismatch):
@@ -236,21 +240,21 @@ class TestScore:
 
 class TestShift:
     def test_sets_first_bit(self):
-        assert shift(Combination.from_bits([0, 0, 0]), 1).to_bits() == [1, 0, 0]
+        assert shift(from_bits([0, 0, 0]), 1).to_bits() == [1, 0, 0]
 
     def test_moves_one_right(self):
-        assert shift(Combination.from_bits([1, 1, 0]), 3).to_bits() == [1, 0, 1]
+        assert shift(from_bits([1, 1, 0]), 3).to_bits() == [1, 0, 1]
 
     def test_identity_when_source_empty(self):
-        c = Combination.from_bits([0, 1, 0])
+        c = from_bits([0, 1, 0])
         assert shift(c, 2) == c
 
     def test_identity_when_target_occupied(self):
-        c = Combination.from_bits([1, 1, 0])
+        c = from_bits([1, 1, 0])
         assert shift(c, 2) == c
 
     def test_does_not_mutate_input(self):
-        c = Combination.from_bits([0, 0])
+        c = from_bits([0, 0])
         shift(c, 1)
         assert c.to_bits() == [0, 0]
 
@@ -263,23 +267,77 @@ class TestShift:
 
 class TestSuccessors:
     def test_all_zeros(self):
-        got = successors(Combination.from_bits([0, 0, 0]))
+        got = successors(from_bits([0, 0, 0]))
         assert {c.to01() for c in got} == {"100"}
 
     def test_middle_one(self):
-        got = successors(Combination.from_bits([0, 1, 0]))
+        got = successors(from_bits([0, 1, 0]))
         assert {c.to01() for c in got} == {"110", "001"}
 
     def test_all_ones_has_none(self):
-        assert successors(Combination.from_bits([1, 1, 1])) == []
+        assert successors(from_bits([1, 1, 1])) == []
 
     def test_gap_pattern(self):
-        got = successors(Combination.from_bits([1, 0, 1]))
+        got = successors(from_bits([1, 0, 1]))
         assert {c.to01() for c in got} == {"011"}
 
     def test_no_duplicates(self):
-        got = successors(Combination.from_bits([1, 1, 0, 1, 0]))
+        got = successors(from_bits([1, 1, 0, 1, 0]))
         assert len(got) == len(set(got))
+
+
+class RecordingHeap(PendingSet):
+    """The serving heap, keeping a copy of every batch it is given."""
+
+    __slots__ = ("batches",)
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def insert_batch(self, batch):
+        self.batches.append(list(batch))
+        super().insert_batch(batch)
+
+
+def step_cases():
+    rng = np.random.default_rng(26)
+    cases = []
+    for n in range(1, 11):
+        for direction in Direction:
+            cases.append((f"uniform-n{n}-{direction.value}", rng.random((n, 2)), direction))
+            cases.append((f"int0-3-n{n}-{direction.value}", rng.integers(0, 4, (n, 2)), direction))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "pairs, direction", [c[1:] for c in step_cases()], ids=[c[0] for c in step_cases()]
+)
+def test_advance_admits_exactly_the_unseen_reference_successors(pairs, direction):
+    # Step by step over a full enumeration, so every mask with position N set
+    # is popped and its move off the end is refused: the written-out moves in
+    # advance against the reference rule in successors.
+    inst = normalize(pairs, direction)
+    n = inst.n
+    exact = np.issubdtype(np.asarray(pairs).dtype, np.integer)  # sums exact, ties common
+    state = init(inst, frontier=RecordingHeap)
+    batches = state.pending.batches
+    batches.clear()  # the all-zeros seed
+    for _ in range(1 << n):
+        seen_before = set(state.seen)
+        pending_before = state.pending_size()
+        _, mask = state.advance()
+        want = {c.mask for c in successors(Combination(n, mask))} - seen_before
+        assert state.seen - seen_before == want
+        assert state.pending_size() == pending_before - 1 + len(want)
+        batch = batches.pop() if want else []
+        assert not batches
+        assert sorted(child for _, _, child in batch) == sorted(want)
+        for total, key, child in batch:
+            assert key == _lex_key(child)
+            if exact:
+                assert total == score(inst, Combination(n, child))
+    assert state.advance() is None and state.pending_size() == 0
 
 
 FRONTIERS = pytest.mark.parametrize(
@@ -420,17 +478,17 @@ class TestAdvance:
 class TestDenormalize:
     def test_identity_instance(self):
         inst = normalize([(0, 1), (0, 2), (0, 3)], Direction.MIN)
-        c = Combination.from_bits([1, 0, 1])
+        c = from_bits([1, 0, 1])
         assert denormalize(inst, c) == c
 
     def test_permutation_undone(self, instance):
         # leading hat bit belongs to input pair 2
-        sel = denormalize(instance, Combination.from_bits([1, 0, 0]))
+        sel = denormalize(instance, from_bits([1, 0, 0]))
         assert sel.to_bits() == [0, 1, 0]
 
     def test_flip_converts_larger_to_first(self):
         inst = normalize([(5, 1)], Direction.MIN)
-        sel = denormalize(inst, Combination.from_bits([1]))
+        sel = denormalize(inst, from_bits([1]))
         assert sel.to_bits() == [0]  # the larger value 5 is the first element
 
     def test_length_mismatch(self, instance):

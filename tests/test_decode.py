@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import bytes_to_bits
 from pairsums import decode
 from pairsums.core import Direction, InvalidK, LengthMismatch, NonFiniteInput, normalize
 from pairsums.decode import (
     Checksum,
     DecodeResult,
-    bytes_to_bits,
     crc8,
     crc8_syndromes,
     decode_best,

@@ -54,8 +54,9 @@ def test_heap_matches_paper_frontier(pairs, direction):
 
 def test_heap_outpaces_the_paper_frontier():
     # One process, one instance, best of 3 alternating walks each: a ratio is
-    # steadier under host load than a time band. Paper/heap read about 4x at
-    # K = 25,000; a heap that cost O(|P|) per step would read about 1x.
+    # steadier under host load than a time band. Paper/heap read about 8x at
+    # K = 25,000 (7.6-8.1 over three runs on a shared 2-vCPU host); a heap that
+    # cost O(|P|) per step would read about 1x.
     inst = normalize(np.random.default_rng(1000).random((1000, 2)))
     best = {PendingSet: float("inf"), PaperFrontier: float("inf")}
     for _ in range(3):

@@ -5,13 +5,12 @@ from itertools import islice
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bit_lists, int_pair_lists, pair_lists
+from conftest import bit_lists, from_bits, int_pair_lists, pair_lists, score
 from pairsums.core import (
     Combination,
     Direction,
     init,
     normalize,
-    score,
     shift,
     successors,
     top_k,
@@ -52,7 +51,7 @@ def test_integer_sums_match_oracle_exactly(pairs):
 @given(pair_lists(max_n=12), bit_lists(max_n=12), st.integers(1, 12))
 def test_shift_never_decreases_score(pairs, bits, i):
     n = len(pairs)
-    combo = Combination.from_bits((bits * n)[:n])
+    combo = from_bits((bits * n)[:n])
     inst = normalize(pairs, Direction.MIN)
     if i > n:
         i = 1 + (i - 1) % n
@@ -62,7 +61,7 @@ def test_shift_never_decreases_score(pairs, bits, i):
 @given(bit_lists(max_n=64))
 def test_canonical_chain_reconstructs(bits):
     # set bits right to left; each is walked in from position 1
-    target = Combination.from_bits(bits)
+    target = from_bits(bits)
     cur = Combination(target.n)
     for pos in range(target.n, 0, -1):
         if target.bit(pos):
@@ -73,7 +72,7 @@ def test_canonical_chain_reconstructs(bits):
 
 @given(bit_lists(max_n=64))
 def test_successor_count_bound(bits):
-    combo = Combination.from_bits(bits)
+    combo = from_bits(bits)
     kids = successors(combo)
     assert len(kids) <= ceil_half(combo.n)
     assert combo not in kids
@@ -82,7 +81,7 @@ def test_successor_count_bound(bits):
 
 @given(bit_lists(max_n=16))
 def test_successors_are_single_shifts(bits):
-    combo = Combination.from_bits(bits)
+    combo = from_bits(bits)
     want = {shift(combo, i) for i in range(1, combo.n + 1)} - {combo}
     assert set(successors(combo)) == want
 
