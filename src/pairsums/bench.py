@@ -49,7 +49,8 @@ class BenchConfig:
     ``k_samples`` points; either way checkpoints are clipped to
     min(k_max, 2^n) per n. Every count, each checkpoint included, is an
     integer >= 1 and ``seed`` an integer >= 0 (numpy's too, not bool);
-    ``seed`` and the checkpoints are stored as ints. A bad field, or an
+    ``n_values`` and the checkpoints are stored as tuples of ints and
+    ``seed`` as an int, so a config hashes. A bad field, or an
     explicit list that clips to nothing for some n, raises ValueError at
     construction.
     """
@@ -63,12 +64,14 @@ class BenchConfig:
 
     def __post_init__(self):
         try:  # each n is a count; the message is the CLI's for --n 0
-            if not [_positive_count(n, "n") for n in self.n_values]:
+            n_values = tuple(_positive_count(n, "n") for n in self.n_values)
+            if not n_values:
                 raise InvalidK("n_values is empty")
         except InvalidK as exc:
             raise ValueError("n_values must be non-empty, all >= 1") from exc
-        if len(set(self.n_values)) != len(self.n_values):
-            raise ValueError(f"n_values must not repeat, got {list(self.n_values)}")
+        if len(set(n_values)) != len(n_values):
+            raise ValueError(f"n_values must not repeat, got {list(n_values)}")
+        object.__setattr__(self, "n_values", n_values)
         for name in ("k_max", "k_samples", "trials"):
             _positive_count(getattr(self, name), name)
         if not (self.k_max >= self.k_samples >= 2):

@@ -15,7 +15,8 @@ Successor moves: a single shift either sets bit 1 (position of the smallest
 gap) or moves a set bit from position i-1 to position i. Because delta is
 ascending, shifts never decrease the sum, so best-first search over the
 shift graph, seeded with the all-zeros vector, emits combinations in sum
-order. ``successors`` states the move rule as a reference; the serving
+order. ``shift`` states the move rule per position, and ``successors``
+collects its distinct results as the reference for checks. The serving
 step, ``EnumerationState.advance``, writes the same moves out and tests
 each child against ``seen`` before it computes that child's sum or key,
 since most children a step offers were generated before. The frontier
@@ -268,20 +269,13 @@ def shift(combo: Combination, i: int) -> Combination:
 def successors(combo: Combination) -> list[Combination]:
     """All combinations one shift away from combo, excluding combo itself.
 
-    The reference statement of the move rule (``EnumerationState.advance``
-    writes the same moves out inline): set position 1 if it is clear, then
-    move each one whose next position is clear up by one. Pairwise distinct,
-    since each child lands on a different bit; at most ceil(N/2) of them.
+    The reference move rule, called by no walk (``EnumerationState.advance``
+    writes the moves out): the distinct results of ``shift``, position 1
+    first. Every move lands on position 1 or just past a one, so no position
+    beyond the highest one's next is tried. At most ceil(N/2) children.
     """
-    n = combo.n
-    mask = combo.mask
-    out = [] if mask & 1 else [Combination(n, mask | 1)]
-    pattern = (mask << 1) & ~mask & ((1 << n) - 1)  # landing bits of the moves
-    while pattern:
-        low = pattern & -pattern
-        pattern ^= low
-        out.append(Combination(n, mask ^ (low | (low >> 1))))
-    return out
+    last = min(combo.n, combo.mask.bit_length() + 1)
+    return [child for i in range(1, last + 1) if (child := shift(combo, i)) is not combo]
 
 
 class PendingSet:
@@ -365,10 +359,9 @@ class EnumerationState:
     advance concurrently on one state.
     """
 
-    __slots__ = ("instance", "pending", "seen", "emitted_count", "_delta", "_n")
+    __slots__ = ("pending", "seen", "emitted_count", "_delta", "_n")
 
     def __init__(self, instance: ProblemInstance, frontier: type = PendingSet):
-        self.instance = instance
         self.pending = frontier()
         self.seen: set[int] = {0}
         self.emitted_count = 0

@@ -92,6 +92,18 @@ class TestConfig:
         assert type(config.seed) is int and config.seed == 5
         assert {type(r.seed) for r in run_bench(config)} == {int}
 
+    def test_n_values_are_stored_as_a_tuple_of_ints(self):
+        # a list (as --n parses it) used to stay a list, so the config did
+        # not hash, and numpy counts reached every BenchRecord.n
+        for given in ([3, 4], (np.int64(3), np.int32(4)), np.array([3, 4])):
+            config = BenchConfig(n_values=given, k_max=8, k_samples=2)
+            assert config.n_values == (3, 4)
+            assert type(config.n_values) is tuple
+            assert {type(n) for n in config.n_values} == {int}
+            assert hash(config) == hash(BenchConfig(n_values=(3, 4), k_max=8, k_samples=2))
+        config = BenchConfig(n_values=(np.int64(6),), k_max=8, k_samples=2)
+        assert {type(r.n) for r in run_bench(config)} == {int}
+
     @pytest.mark.parametrize("checkpoints", [
         (2.5, 8.9), (True, 8), (2, 8.0), (0, 8), (-4, 8),
     ], ids=["floats", "bool", "one-float", "zero", "negative"])

@@ -6,7 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import pairsums
 from conftest import from_bits, score
+from pairsums import cli, core
+from pairsums.bench import BenchConfig, run_bench
 from pairsums.core import (
     Combination,
     Direction,
@@ -27,6 +30,7 @@ from pairsums.core import (
     successors,
     top_k,
 )
+from pairsums.decode import Checksum, decode_best, make_validator
 from pairsums.oracle import brute_force_top_k
 
 PAIRS = [(1, 5), (2, 3), (0, 4)]  # gaps 4, 1, 4
@@ -285,6 +289,35 @@ class TestSuccessors:
         got = successors(from_bits([1, 1, 0, 1, 0]))
         assert len(got) == len(set(got))
 
+    @pytest.mark.parametrize("n", [*range(1, 13), 63, 64, 65, 200, 1000])
+    def test_list_matches_the_rule_by_position(self, n):
+        # every mask for n <= 12, else 503 seeded ones of mixed widths
+        if n <= 12:
+            masks = range(1 << n)
+        else:
+            rng = random.Random(n)
+            masks = [0, 1, (1 << n) - 1, 1 << (n - 1)]
+            masks += [rng.getrandbits(rng.randint(1, n)) for _ in range(499)]
+        for m in masks:
+            want = reference_moves(m, n)
+            combo = Combination(n, m)
+            assert [c.mask for c in successors(combo)] == want
+            moved = [shift(combo, i) for i in range(1, n + 1)]
+            landed = set(want)
+            assert [c.mask for c in moved if c.mask in landed] == want
+            assert all(c is combo for c in moved if c.mask not in landed)
+
+
+def reference_moves(m: int, n: int) -> list[int]:
+    """Masks one shift from mask m over n positions, by position index.
+
+    Set position 1 if it is clear, then, for k = 1..n-1 in turn, move a one
+    at position k to a clear position k+1.
+    """
+    return ([m | 1] if not m & 1 else []) + [
+        m ^ (3 << (k - 1)) for k in range(1, n) if m >> (k - 1) & 1 and not m >> k & 1
+    ]
+
 
 class RecordingHeap(PendingSet):
     """The serving heap, keeping a copy of every batch it is given."""
@@ -316,7 +349,7 @@ def step_cases():
 def test_advance_admits_exactly_the_unseen_reference_successors(pairs, direction):
     # Step by step over a full enumeration, so every mask with position N set
     # is popped and its move off the end is refused: the written-out moves in
-    # advance against the reference rule in successors.
+    # advance against the single shifts of shift, which successors collects.
     inst = normalize(pairs, direction)
     n = inst.n
     exact = np.issubdtype(np.asarray(pairs).dtype, np.integer)  # sums exact, ties common
@@ -338,6 +371,31 @@ def test_advance_admits_exactly_the_unseen_reference_successors(pairs, direction
             if exact:
                 assert total == score(inst, Combination(n, child))
     assert state.advance() is None and state.pending_size() == 0
+
+
+def test_no_serving_path_calls_the_reference_moves(monkeypatch, tmp_path):
+    # successors costs up to bit-length + 1 calls of shift, so every walk
+    # writes the moves out instead: each serving path runs with both raising.
+    def refuse(*args):
+        raise AssertionError("a serving path called the reference move rule")
+
+    for module in (core, pairsums):
+        monkeypatch.setattr(module, "shift", refuse)
+        monkeypatch.setattr(module, "successors", refuse)
+    rng = np.random.default_rng(27)
+    ties = rng.integers(0, 2, (40, 2))
+    for direction in Direction:
+        assert len(top_k(ties, 500, direction)) == 500
+    assert sum(1 for _ in itertools.islice(iter_top(rng.random((1000, 2))), 2000)) == 2000
+    conf = rng.random((24, 2))
+    for checksum in (*Checksum, make_validator(Checksum.CRC8, 24)):
+        assert decode_best(conf, checksum, 200).candidates_tested >= 1
+    assert run_bench(BenchConfig(n_values=(6,), k_max=64, k_samples=4))
+    path = tmp_path / "pairs.csv"
+    path.write_text("\n".join(f"{a},{b}" for a, b in ties) + "\n")
+    out = tmp_path / "top.csv"
+    assert cli.main(["topk", "--input", str(path), "--k", "50", "--output", str(out)]) == 0
+    assert out.read_text()
 
 
 FRONTIERS = pytest.mark.parametrize(
