@@ -27,7 +27,8 @@ Two frontiers pop in that same order:
 - ``PendingSet``, the default, is a binary heap: each pop and each push
   costs O(log |P|), so K results cost O(K log K) frontier work. Every
   serving path (``top_k``, ``iter_top``, ``decode_best``, the CLI) walks it.
-- ``PaperFrontier`` is the paper's sorted list: each step pops its head
+- ``PaperFrontier`` is the paper's sorted list, a ``PendingSet`` subclass
+  that keeps the same list in ascending order: each step pops its head
   and merges the fresh successors into the whole list, O(|P|) per step and
   so O(K^2) for K results. ``bench.run_bench`` (and ``pairsums bench``)
   walks it to reproduce the paper's scaling curve.
@@ -307,25 +308,20 @@ class PendingSet:
             heappush(entries, entry)
 
 
-class PaperFrontier:
-    """The paper's frontier: (sum, key, mask) entries in one ascending list.
+class PaperFrontier(PendingSet):
+    """The paper's frontier: ``PendingSet``'s list, kept in ascending order.
 
     Extract-min pops the head, and each batch of new entries is sorted and
     merged into the whole list in one pass, so a step costs
     O(len(pending) + b log b) and K results cost O(K^2). Kept as the
     reproduction baseline that ``bench.run_bench`` walks; it pops in the
     same order as ``PendingSet`` and, like it, runs no duplicate check.
-    The benchmark tracer wraps ``PendingSet`` only, so this class is never
+    It overrides both of ``PendingSet``'s operations, and the benchmark
+    tracer wraps those of ``PendingSet`` itself, so this class is never
     traced.
     """
 
-    __slots__ = ("_entries",)
-
-    def __init__(self):
-        self._entries: list[Entry] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
+    __slots__ = ()
 
     def extract_min(self) -> Optional[Entry]:
         """Pop the entry with the smallest sum, ties to the lex-smallest mask."""
@@ -349,9 +345,10 @@ class PaperFrontier:
 class EnumerationState:
     """Mutable iterator state: pending frontier, seen masks, emit counter.
 
-    ``frontier`` is the frontier class, ``PendingSet`` (a heap) unless the
-    caller reproduces the paper's O(K^2) curve with ``PaperFrontier``; both
-    emit the same combinations in the same order.
+    Also exported as ``init``; a fresh state's frontier holds only the
+    all-zeros vector. ``frontier`` is the frontier class, ``PendingSet`` (a
+    heap) unless the caller reproduces the paper's O(K^2) curve with
+    ``PaperFrontier``; both emit the same combinations in the same order.
 
     ``seen`` spans everything ever generated (emitted plus pending), which
     keeps already-ranked combinations out of the frontier even when sums
@@ -422,9 +419,7 @@ class EnumerationState:
         return iter(self.advance, None)
 
 
-def init(instance: ProblemInstance, frontier: type = PendingSet) -> EnumerationState:
-    """Fresh enumeration state: pending holds only the all-zeros vector."""
-    return EnumerationState(instance, frontier)
+init = EnumerationState  # init(instance[, frontier]): a fresh enumeration state
 
 
 def _selection_bytes(instance: ProblemInstance, hat_mask: int) -> bytearray:

@@ -93,12 +93,10 @@ def test_wrong_shape_raises_in_both_rankers(pairs):
             rank(pairs, 1)
 
 
-@pytest.mark.parametrize("direction", list(Direction))
-@pytest.mark.parametrize("n", range(1, 11))
-def test_matches_an_itertools_enumeration(n, direction):
+def assert_matches_an_itertools_enumeration(pairs, direction):
     # reference built without engine code: every bit tuple, sorted by
     # (sum, or -sum for MAX, then the tuple read from position 1)
-    pairs = np.random.default_rng(n).integers(-4, 5, size=(n, 2)).tolist()
+    n = len(pairs)
     sign = -1 if direction is Direction.MAX else 1
     want = sorted(
         (sign * sum(p[b] for p, b in zip(pairs, bits)), bits)
@@ -109,6 +107,27 @@ def test_matches_an_itertools_enumeration(n, direction):
         (rank, sign * key, "".join(map(str, bits)), list(bits))
         for rank, (key, bits) in enumerate(want, start=1)
     ]
+
+
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_matches_an_itertools_enumeration(n, direction):
+    pairs = np.random.default_rng(n).integers(-4, 5, size=(n, 2)).tolist()
+    assert_matches_an_itertools_enumeration(pairs, direction)
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [lambda rng, n: rng.normal(size=(n, 2)) * 1e3, lambda rng, n: rng.random((n, 2))],
+    ids=["normal", "unit"],
+)
+@pytest.mark.parametrize("direction", list(Direction))
+@pytest.mark.parametrize("n", range(1, 11))
+def test_float_sums_match_an_itertools_enumeration(n, direction, draw):
+    # Python's sum adds left to right from 0, as the oracle's table does, so
+    # float pairs pin every sum bit for bit, which integer pairs cannot
+    pairs = draw(np.random.default_rng(n), n).tolist()
+    assert_matches_an_itertools_enumeration(pairs, direction)
 
 
 def test_tie_handling():
