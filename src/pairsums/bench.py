@@ -3,7 +3,8 @@
 Samples uniform random pair sets, runs the enumerator on the paper's
 sorted-list frontier (``core.PaperFrontier``, O(|P|) per step) to a K
 budget while recording the frontier size |P| and the cumulative process
-time at a grid of K checkpoints, fits a second-degree polynomial to the
+time at ``k_samples`` log-spaced K checkpoints from 1 to min(k_max, 2^n),
+rounded and deduplicated, fits a second-degree polynomial to the
 time curve and a line to the frontier size over K >= max K / 10. CPU
 process time is used rather than wall clock, and each timed run is
 preceded by a short untimed warm-up pass so allocator and cache startup
@@ -28,7 +29,7 @@ import numbers
 import time
 from dataclasses import astuple, dataclass, fields
 from itertools import islice
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +44,12 @@ class DegenerateFit(ValueError):
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """One measurement campaign.
+    """One measurement campaign; each field is one ``pairsums bench`` flag.
 
-    ``k_checkpoints`` overrides the default log-spaced grid of
-    ``k_samples`` points; either way checkpoints are clipped to
-    min(k_max, 2^n) per n. Every count, each checkpoint included, is an
-    integer >= 1 and ``seed`` an integer >= 0 (numpy's too, not bool);
-    ``n_values`` and the checkpoints are stored as tuples of ints and
-    ``seed`` as an int, so a config hashes. A bad field, or an
-    explicit list that clips to nothing for some n, raises ValueError at
-    construction.
+    Every count is an integer >= 1 and ``seed`` an integer >= 0 (numpy's
+    too, not bool); ``n_values`` is stored as a tuple of ints and ``seed``
+    as an int, so a config hashes. A bad field raises ValueError at
+    construction. ``checkpoints_for`` gives the K grid of each n.
     """
 
     n_values: Sequence[int] = (15, 100, 1000)
@@ -60,7 +57,6 @@ class BenchConfig:
     k_samples: int = 50
     seed: int = 42
     trials: int = 1
-    k_checkpoints: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         try:  # each n is a count; the message is the CLI's for --n 0
@@ -81,11 +77,6 @@ class BenchConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         object.__setattr__(self, "seed", int(self.seed))  # numpy's too, for the CSV
-        if self.k_checkpoints is not None:
-            ks = tuple(_positive_count(k, "k_checkpoints entry") for k in self.k_checkpoints)
-            object.__setattr__(self, "k_checkpoints", ks)
-        for n in self.n_values:  # raises here, before a caller opens its output
-            checkpoints_for(self, n)
 
 
 @dataclass(frozen=True)
@@ -102,13 +93,8 @@ CSV_HEADER = tuple(f.name for f in fields(BenchRecord))
 
 
 def checkpoints_for(config: BenchConfig, n: int) -> list[int]:
-    """Ascending unique K checkpoints for one n, clipped to min(k_max, 2^n)."""
+    """``k_samples`` log-spaced K from 1 to min(k_max, 2^n), rounded, unique, ascending."""
     k_cap = min(config.k_max, 1 << int(n))  # a numpy n would wrap at 64 bits
-    if config.k_checkpoints is not None:
-        ks = sorted({k for k in config.k_checkpoints if k <= k_cap})
-        if not ks:
-            raise ValueError("no checkpoints left after clipping")
-        return ks
     grid = np.geomspace(1, k_cap, config.k_samples)
     return sorted({int(round(k)) for k in grid})
 

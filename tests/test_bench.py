@@ -104,24 +104,10 @@ class TestConfig:
         config = BenchConfig(n_values=(np.int64(6),), k_max=8, k_samples=2)
         assert {type(r.n) for r in run_bench(config)} == {int}
 
-    @pytest.mark.parametrize("checkpoints", [
-        (2.5, 8.9), (True, 8), (2, 8.0), (0, 8), (-4, 8),
-    ], ids=["floats", "bool", "one-float", "zero", "negative"])
-    def test_checkpoints_follow_the_count_rule(self, checkpoints):
-        # (2.5, 8.9) used to truncate to [2, 8] and (True, 8) to [1, 8]
-        with pytest.raises(ValueError, match="k_checkpoints entry"):
-            BenchConfig(n_values=(6,), k_max=64, k_samples=4, k_checkpoints=checkpoints)
-
-    def test_checkpoints_are_stored_as_ints(self):
-        config = BenchConfig(n_values=(6,), k_max=64, k_samples=4,
-                             k_checkpoints=[np.int64(8), 2, np.int32(8)])
-        assert config.k_checkpoints == (8, 2, 8)
-        assert {type(k) for k in config.k_checkpoints} == {int}
-        assert checkpoints_for(config, 6) == [2, 8]
-
-    def test_rejects_checkpoints_that_clip_to_nothing(self):
-        with pytest.raises(ValueError, match="no checkpoints left after clipping"):
-            BenchConfig(n_values=(15,), k_max=100, k_samples=5, k_checkpoints=(500,))
+    def test_fields_are_the_bench_flags(self):
+        # one field per `pairsums bench` flag; checkpoints come from k_samples
+        names = {f.name for f in dataclasses.fields(BenchConfig)}
+        assert names == {"n_values", "k_max", "k_samples", "seed", "trials"}
 
 
 class TestCheckpoints:
@@ -134,14 +120,6 @@ class TestCheckpoints:
     def test_capped_by_enumeration_size(self):
         ks = checkpoints_for(BenchConfig(k_max=100_000, k_samples=10), n=5)
         assert ks[-1] == 32
-
-    def test_explicit_list_wins(self):
-        config = BenchConfig(k_checkpoints=(10, 20, 40))
-        assert checkpoints_for(config, n=100) == [10, 20, 40]
-
-    def test_explicit_list_clipped_for_small_n(self):
-        config = BenchConfig(k_checkpoints=(2, 8, 500))
-        assert checkpoints_for(config, n=3) == [2, 8]
 
 
 class TestRunBench:
